@@ -60,13 +60,10 @@ Measured run_once(const Case& c, const wss::wse::CS1Params& arch, int threads,
                   wss::wse::Backend backend) {
   wss::wse::SimParams sim;
   sim.sim_threads = threads;
-  // Pin the backend and disable the watchdog explicitly: this bench
-  // measures both backends side by side, so ambient WSS_SIM_BACKEND /
-  // WSS_WATCHDOG_CYCLES must not silently re-route (a nonzero watchdog is
-  // a turbo demotion trigger).
+  // Pin the backend: this bench measures both backends side by side, so
+  // an ambient WSS_SIM_BACKEND must not silently re-route.
   sim.backend = backend;
   wss::wsekernels::SpMV3DSimulation s(c.a, arch, sim);
-  s.fabric().set_watchdog(0);
   const auto t0 = std::chrono::steady_clock::now();
   Measured m;
   m.u = s.run(c.v);
@@ -90,7 +87,6 @@ MeasuredReduce run_allreduce(int n, const wss::wse::CS1Params& arch,
   sim.sim_threads = 1;
   sim.backend = backend;
   wss::wsekernels::AllReduceSimulation s(n, n, arch, sim);
-  s.fabric().set_watchdog(0);
   std::vector<float> contrib(static_cast<std::size_t>(n) *
                              static_cast<std::size_t>(n));
   wss::Rng rng(7);

@@ -40,13 +40,10 @@ inline StencilFeRun run_stencilfe(const stencilfe::TransitionFn& fn, int nx,
                                   telemetry::NetMonitor* netmon = nullptr) {
   wse::SimParams sim;
   sim.sim_threads = threads;
-  // Pin the backend and disable the watchdog: these benches compare
-  // reference and turbo side by side, so ambient WSS_SIM_BACKEND /
-  // WSS_WATCHDOG_CYCLES must not silently re-route (a nonzero watchdog
-  // is a turbo demotion trigger).
+  // Pin the backend: these benches compare reference and turbo side by
+  // side, so an ambient WSS_SIM_BACKEND must not silently re-route.
   sim.backend = backend;
   stencilfe::StencilExecutor ex(fn, nx, ny, arch, sim);
-  ex.fabric().set_watchdog(0);
   if (netmon != nullptr) {
     netmon->set_flow_table(ex.flow_table());
     ex.fabric().set_net_monitor(netmon);

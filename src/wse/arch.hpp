@@ -57,11 +57,10 @@ struct CS1Params {
 ///   Auto      — consult the WSS_SIM_BACKEND environment variable
 ///               ("reference" or "turbo"; default reference),
 ///   Reference — the straightforward per-tile object-graph interpreter,
-///   Turbo     — occupancy-indexed SoA fast path: router phases visit only
-///               queues that hold flits and provably-idle cores are parked,
-///               demoting to reference stepping whenever observers (tracer,
-///               profiler, flight recorder, sampler, watchdog) or a fault
-///               plan are attached.
+///   Turbo     — occupancy-indexed SoA fast path: the same phase code, but
+///               router phases visit only queues that hold flits and
+///               provably-idle cores are parked. Observers and fault plans
+///               run on it unchanged.
 enum class Backend : std::uint8_t { Auto = 0, Reference, Turbo };
 
 /// Simulator microarchitecture knobs (queue depths etc.) — not performance

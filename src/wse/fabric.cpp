@@ -1,6 +1,7 @@
 #include "wse/fabric.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -91,8 +92,8 @@ void Fabric::configure_tile(int x, int y, TileProgram program,
 
 void Fabric::set_backend(Backend backend) {
   backend_ = resolve_backend(backend);
-  // An explicit switch resyncs silently on the next turbo step; only
-  // observer-forced fallbacks count as demotions in TurboStats.
+  // The reference phases do not maintain the mirror; the next turbo step
+  // rebuilds it.
   turbo_invalidate();
 }
 
@@ -335,24 +336,53 @@ void Fabric::merge_fault_bands(int bands) {
 }
 
 // ------------------------------------------------------------------------
+//
+// The per-tile phase code, built once per backend (docs/BACKENDS.md). Both
+// instances run the same bodies with the same observer and fault hooks;
+// they differ only in what they visit. The reference instance (kTurbo =
+// false) visits every configured tile and scans all 24 colors, so it never
+// consults the occupancy masks. The turbo instance tests the dense
+// TurboState mirror before touching a Tile, walks only the set bits of
+// in_occ/out_occ, and runs a parked core as step_parked(). Everything it
+// skips is provably a no-op for the simulation and for every hook: a
+// parked core's step records nothing for the tracer or the flight
+// recorder and is one Idle cycle for the profiler, an empty link's
+// net-monitor audit changes no counter, and link faults fire only when a
+// flit crosses the link.
 
+template <bool kTurbo>
 void Fabric::route_phase(int y0, int y1, int band) {
+  constexpr std::uint32_t kAllColors = (1u << kNumColors) - 1;
+  // Hoisted so the unobserved turbo loop carries no per-tile member loads.
+  telemetry::Profiler* const prof = profiler_;
+  telemetry::FlightRecorder* const rec = flightrec_;
+  FaultState* const fs = faults_.get();
+  TurboState* const ts = turbo_.get();
+  const std::uint64_t cycle = stats_.cycles;
+  std::size_t i = tile_index(0, y0);
   for (int y = y0; y < y1; ++y) {
-    for (int x = 0; x < width_; ++x) {
-      Tile& t = tiles_[tile_index(x, y)];
-      if (t.core == nullptr) continue;
-      if (faults_ != nullptr) {
-        const TileFaults& tf = faults_->tiles[tile_index(x, y)];
-        if (!tf.stall_windows.empty() &&
-            router_stalled(tf, stats_.cycles)) {
+    for (int x = 0; x < width_; ++x, ++i) {
+      if constexpr (kTurbo) {
+        // Unconfigured tiles never forward, so a hole tile's pending flag
+        // just stays set. A router-stall window must be visited even with
+        // empty queues: the stall is counted and logged every cycle.
+        if (ts->configured[i] == 0) continue;
+        if (ts->route_pending[i].load(std::memory_order_relaxed) == 0 &&
+            (fs == nullptr || fs->tiles[i].stall_windows.empty())) {
+          continue;
+        }
+      }
+      Tile& t = tiles_[i];
+      if (!kTurbo && t.core == nullptr) continue;
+      if (fs != nullptr) {
+        const TileFaults& tf = fs->tiles[i];
+        if (!tf.stall_windows.empty() && router_stalled(tf, cycle)) {
           // Forward nothing this cycle; arriving wavelets stay queued
           // (backpressure), nothing is lost.
-          auto& bs = faults_->band_stats[static_cast<std::size_t>(band)];
-          ++bs.router_stall_cycles;
+          ++fs->band_stats[static_cast<std::size_t>(band)].router_stall_cycles;
           for (const auto& [from, until] : tf.stall_windows) {
-            if (stats_.cycles == from) {
-              stage_fault_event(band, FaultEvent{stats_.cycles, x, y,
-                                                 Dir::Ramp,
+            if (cycle == from) {
+              stage_fault_event(band, FaultEvent{cycle, x, y, Dir::Ramp,
                                                  FaultKind::StallRouter, 0,
                                                  0});
             }
@@ -360,8 +390,15 @@ void Fabric::route_phase(int y0, int y1, int band) {
           continue;
         }
       }
+      bool delivered = false;
       for (int d = 0; d < 4; ++d) {
-        for (int c = 0; c < kNumColors; ++c) {
+        // Ascending color order either way: all 24 colors on reference,
+        // the occupied ones on turbo.
+        std::uint32_t colors =
+            kTurbo ? t.router.in_occ[static_cast<std::size_t>(d)] : kAllColors;
+        while (colors != 0) {
+          const int c = std::countr_zero(colors);
+          colors &= colors - 1;
           auto& q = t.router.in_queues[static_cast<std::size_t>(d)]
                                       [static_cast<std::size_t>(c)];
           while (!q.empty()) {
@@ -388,18 +425,22 @@ void Fabric::route_phase(int y0, int y1, int band) {
                 space = false;
               }
             }
-            if (!space) break;
+            if (!space) {
+              if constexpr (kTurbo) {
+                ++ts->band[static_cast<std::size_t>(band)].contended;
+              }
+              break;
+            }
 
-            if (profiler_ != nullptr && !rule.deliver_channels.empty()) {
+            if (!rule.deliver_channels.empty()) {
+              delivered = true;
               // Wavelet dependency edge for the critical-path analyzer:
               // one edge per delivered flit (multicast to several local
               // channels is still one arrival).
-              profiler_->record_recv(x, y, stats_.cycles, flit);
-            }
-            if (flightrec_ != nullptr && !rule.deliver_channels.empty()) {
+              if (prof != nullptr) prof->record_recv(x, y, cycle, flit);
               // Flight-recorder tap: the same band owns the tile, so the
               // ring is bit-identical at any thread count.
-              flightrec_->record_wavelet(x, y, stats_.cycles, flit);
+              if (rec != nullptr) rec->record_wavelet(x, y, cycle, flit);
             }
             for (int ch : rule.deliver_channels) {
               t.core->try_deliver(ch, flit.payload);
@@ -425,70 +466,125 @@ void Fabric::route_phase(int y0, int y1, int band) {
           }
         }
       }
+      if constexpr (kTurbo) {
+        // A delivery fills a ramp queue, so the core is no longer in the
+        // absorbing idle state: it must really step this very cycle.
+        if (delivered) ts->parked[i] = 0;
+        if (t.router.out_any()) ts->link_pending[i] = 1;
+        ts->route_pending[i].store(t.router.in_any() ? 1 : 0,
+                                   std::memory_order_relaxed);
+      }
     }
   }
 }
 
+template <bool kTurbo>
 void Fabric::core_phase(int y0, int y1, Tracer* tracer, int band) {
+  telemetry::Profiler* const prof = profiler_;
+  FaultState* const fs = faults_.get();
+  TurboState* const ts = turbo_.get();
+  const std::uint64_t cycle = stats_.cycles;
+  const std::size_t end = tile_index(0, y1);
+  std::uint64_t parked = 0;
+  std::size_t i = tile_index(0, y0);
   for (int y = y0; y < y1; ++y) {
-    for (int x = 0; x < width_; ++x) {
-      Tile& t = tiles_[tile_index(x, y)];
-      if (t.core == nullptr) continue;
-      if (user_tracer_ != nullptr) t.core->set_tracer(tracer, x, y);
+    for (int x = 0; x < width_; ++x, ++i) {
+      if constexpr (kTurbo) {
+        if (ts->configured[i] == 0) continue;
+        // The Tile array stride is multiple KB and each core is its own
+        // heap allocation, so a parked ocean pays ~2 cache misses per tile
+        // here (the phase's dominant cost). Overlap them a few tiles ahead.
+        if (i + 4 < end) __builtin_prefetch(&tiles_[i + 4]);
+        if (i + 1 < end && ts->configured[i + 1] != 0) {
+          __builtin_prefetch(tiles_[i + 1].core.get());
+        }
+      }
+      Tile& t = tiles_[i];
+      if (!kTurbo && t.core == nullptr) continue;
+      // Rebind to this band's staging tracer: a step after set_threads
+      // never leaves a core pointing at another band's buffer.
+      if (tracer != nullptr) t.core->set_tracer(tracer, x, y);
       bool router_faulted = false;
-      if (faults_ != nullptr) {
-        const TileFaults& tf = faults_->tiles[tile_index(x, y)];
-        if (stats_.cycles >= tf.dead_from) {
-          // Datapath death: the core stops executing but its router keeps
-          // forwarding (handled by route/link phases as usual).
-          ++faults_->band_stats[static_cast<std::size_t>(band)]
-                .dead_tile_cycles;
-          if (stats_.cycles == tf.dead_from) {
-            stage_fault_event(band,
-                              FaultEvent{stats_.cycles, x, y, Dir::Ramp,
-                                         FaultKind::DeadTile, 0, 0});
+      if (fs != nullptr) {
+        const TileFaults& tf = fs->tiles[i];
+        if (cycle >= tf.dead_from) {
+          // Datapath death: the core stops executing, parked or not, but
+          // its router keeps forwarding (route/link phases as usual).
+          ++fs->band_stats[static_cast<std::size_t>(band)].dead_tile_cycles;
+          if (cycle == tf.dead_from) {
+            stage_fault_event(band, FaultEvent{cycle, x, y, Dir::Ramp,
+                                               FaultKind::DeadTile, 0, 0});
           }
-          if (profiler_ != nullptr) {
+          if (prof != nullptr) {
             // The cycle belongs to the fault, not the program: the core
             // never stepped, so the attribution happens here.
-            profiler_->record_cycle(x, y, t.core->phase(),
-                                    telemetry::CycleCat::FaultStall,
-                                    stats_.cycles);
+            prof->record_cycle(x, y, t.core->phase(),
+                               telemetry::CycleCat::FaultStall, cycle);
           }
           continue;
         }
         router_faulted =
-            !tf.stall_windows.empty() && router_stalled(tf, stats_.cycles);
+            !tf.stall_windows.empty() && router_stalled(tf, cycle);
       }
-      const StepOutcome outcome = t.core->step(t.router, stats_.cycles);
-      if (profiler_ != nullptr) {
-        profiler_->record_cycle(x, y, t.core->phase(),
-                                categorize(outcome, router_faulted),
-                                stats_.cycles);
-        profiler_->record_iteration(x, y, t.core->iteration(),
-                                    stats_.cycles);
+      StepOutcome outcome = StepOutcome::Idle;
+      if (kTurbo && ts->parked[i] != 0) {
+        // Provably the whole effect of a reference step on this core.
+        t.core->step_parked();
+        ++parked;
+      } else {
+        outcome = t.core->step(t.router, cycle);
+        if constexpr (kTurbo) {
+          if (t.router.out_any()) ts->link_pending[i] = 1;
+          ts->done[i] = t.core->done() ? 1 : 0;
+          // Park on the cheap signal (an Idle outcome), confirmed by the
+          // full predicate; once parked the core stays parked until a
+          // delivery or a control reset — deliveries never activate
+          // tasks, so it cannot wake itself.
+          if (outcome == StepOutcome::Idle && t.core->quiescent()) {
+            ts->parked[i] = 1;
+          }
+        }
+      }
+      if (prof != nullptr) {
+        prof->record_cycle(x, y, t.core->phase(),
+                           categorize(outcome, router_faulted), cycle);
+        prof->record_iteration(x, y, t.core->iteration(), cycle);
       }
     }
   }
+  if constexpr (kTurbo) {
+    ts->band[static_cast<std::size_t>(band)].parked = parked;
+  }
 }
 
+template <bool kTurbo>
 std::uint64_t Fabric::link_phase(int y0, int y1, int band) {
   // Cross-tile mutation lives here and only here: tile (x, y) moves flits
   // from its own out_queues[d] into neighbor (x+dx, y+dy)'s
   // in_queues[opposite(d)]. That queue has exactly one writer (this tile)
   // and no reader during the link phase, so bands — which shard over the
   // *source* tile — never race, including across band boundaries.
+  telemetry::NetMonitor* const mon = netmon_;
+  FaultState* const fs = faults_.get();
+  TurboState* const ts = turbo_.get();
+  const std::uint64_t cycle = stats_.cycles;
   std::uint64_t transfers = 0;
   for (int y = y0; y < y1; ++y) {
     for (int x = 0; x < width_; ++x) {
-      Tile& t = tiles_[tile_index(x, y)];
+      const std::size_t i = tile_index(x, y);
+      if (kTurbo && ts->link_pending[i] == 0) continue;
+      Tile& t = tiles_[i];
       for (int d = 0; d < 4; ++d) {
+        if (kTurbo && t.router.out_occ[static_cast<std::size_t>(d)] == 0) {
+          continue;
+        }
         const Dir dir = static_cast<Dir>(d);
         const auto [dx, dy] = wse::step(dir);
         const int nx = x + dx;
         const int ny = y + dy;
         if (!in_bounds(nx, ny)) continue;
-        Tile& nb = tiles_[tile_index(nx, ny)];
+        const std::size_t ni = tile_index(nx, ny);
+        Tile& nb = tiles_[ni];
         auto& in_queues =
             nb.router.in_queues[static_cast<std::size_t>(opposite(dir))];
         // 32-bit link: move up to one link-cycle of halfwords, choosing
@@ -498,11 +594,17 @@ std::uint64_t Fabric::link_phase(int y0, int y1, int band) {
         auto& queues = t.router.out_queues[static_cast<std::size_t>(d)];
         int& rr = t.router.rr[static_cast<std::size_t>(d)];
         while (budget > 0) {
+          const std::uint32_t occ =
+              t.router.out_occ[static_cast<std::size_t>(d)];
+          if (kTurbo && occ == 0) break;
           bool moved = false;
           for (int k = 0; k < kNumColors; ++k) {
             const int c = (rr + k) % kNumColors;
             auto& q = queues[static_cast<std::size_t>(c)];
-            if (q.empty()) continue;
+            if (kTurbo ? (occ >> static_cast<unsigned>(c) & 1u) == 0
+                       : q.empty()) {
+              continue;
+            }
             const int cost = q.front().wide ? 2 : 1;
             if (cost > budget) continue;
             auto& inq = in_queues[static_cast<std::size_t>(c)];
@@ -525,28 +627,26 @@ std::uint64_t Fabric::link_phase(int y0, int y1, int band) {
             // lost) but is not counted as a transfer; corruption XORs the
             // payload in flight and delivers it.
             bool dropped = false;
-            if (faults_ != nullptr) {
-              TileFaults& tf = faults_->tiles[tile_index(x, y)];
+            if (fs != nullptr) {
+              TileFaults& tf = fs->tiles[i];
               auto& lf = tf.links[static_cast<std::size_t>(d)];
               if (!lf.empty()) {
                 const std::uint64_t ordinal =
                     tf.link_ordinal[static_cast<std::size_t>(d)]++;
-                auto& bs =
-                    faults_->band_stats[static_cast<std::size_t>(band)];
+                auto& bs = fs->band_stats[static_cast<std::size_t>(band)];
                 for (std::size_t fi = 0; fi < lf.size(); ++fi) {
                   const LinkFault& f = lf[fi];
-                  if (stats_.cycles < f.from_cycle ||
-                      stats_.cycles >= f.until_cycle) {
+                  if (cycle < f.from_cycle || cycle >= f.until_cycle) {
                     continue;
                   }
-                  if (fault_roll(faults_->plan->seed + fi, x, y, dir,
-                                 ordinal) >= f.probability) {
+                  if (fault_roll(fs->plan->seed + fi, x, y, dir, ordinal) >=
+                      f.probability) {
                     continue;
                   }
                   if (f.kind == FaultKind::DropWavelet) {
                     ++bs.wavelets_dropped;
                     stage_fault_event(
-                        band, FaultEvent{stats_.cycles, x, y, dir,
+                        band, FaultEvent{cycle, x, y, dir,
                                          FaultKind::DropWavelet,
                                          flit.payload, 0});
                     dropped = true;
@@ -557,7 +657,7 @@ std::uint64_t Fabric::link_phase(int y0, int y1, int band) {
                     flit.payload ^= f.corrupt_mask;
                     ++bs.wavelets_corrupted;
                     stage_fault_event(
-                        band, FaultEvent{stats_.cycles, x, y, dir,
+                        band, FaultEvent{cycle, x, y, dir,
                                          FaultKind::CorruptWavelet, before,
                                          flit.payload});
                   }
@@ -568,23 +668,25 @@ std::uint64_t Fabric::link_phase(int y0, int y1, int band) {
               inq.push_back(flit);
               occ_set(nb.router.in_occ[static_cast<std::size_t>(opposite(dir))],
                       c);
+              if constexpr (kTurbo) {
+                // The destination may belong to another band, hence the
+                // relaxed atomic (every writer stores 1).
+                ts->route_pending[ni].store(1, std::memory_order_relaxed);
+              }
               ++t.router.stats.link_words[static_cast<std::size_t>(d)];
               ++transfers;
-              if (netmon_ != nullptr) {
-                netmon_->record_move(tile_index(x, y), d, c);
-              }
+              if (mon != nullptr) mon->record_move(i, d, c);
             }
             break;
           }
           if (!moved) break;
         }
-        if (netmon_ != nullptr) {
+        if (mon != nullptr) {
           // End-of-phase audit of this link: a color still holding flits
           // either lost the budget race to its siblings (normal
           // multiplexing) or sits blocked behind a full destination
           // virtual-channel queue — only the latter is congestion. All
           // counters are owned by the source tile's band.
-          const std::size_t tile = tile_index(x, y);
           const std::uint32_t occ =
               t.router.out_occ[static_cast<std::size_t>(d)];
           std::uint64_t backlog = 0;
@@ -594,17 +696,18 @@ std::uint64_t Fabric::link_phase(int y0, int y1, int band) {
             auto& q = queues[static_cast<std::size_t>(c)];
             const auto hw = static_cast<std::uint64_t>(flit_halfwords(q));
             backlog += hw;
-            netmon_->record_backlog(tile, d, c, hw);
+            mon->record_backlog(i, d, c, hw);
             const int cost = q.front().wide ? 2 : 1;
             if (flit_halfwords(in_queues[static_cast<std::size_t>(c)]) + cost >
                 2 * sim_.link_halfwords_per_cycle) {
-              netmon_->record_blocked(tile, d, c);
+              mon->record_blocked(i, d, c);
               any_blocked = true;
             }
           }
-          netmon_->record_link_cycle(tile, d, backlog, any_blocked);
+          mon->record_link_cycle(i, d, backlog, any_blocked);
         }
       }
+      if (kTurbo && !t.router.out_any()) ts->link_pending[i] = 0;
     }
   }
   return transfers;
@@ -628,21 +731,15 @@ void Fabric::merge_staged_trace_events() {
 }
 
 void Fabric::step() {
-  if (backend_ == Backend::Turbo) {
-    if (!turbo_demoted()) {
-      if (turbo_ == nullptr || !turbo_->live) turbo_promote();
-      turbo_step();
-      return;
-    }
-    if (turbo_ != nullptr && turbo_->live) {
-      // A demotion trigger appeared mid-run: fall back to the reference
-      // phases until it detaches (turbo_active() re-promotes then). The
-      // mirror is stale from here on, so it is dropped, not paused.
-      turbo_->live = false;
-      ++turbo_->stats.demotions;
-    }
-  }
+  // One driver for both backends and every thread count: a one-band pool
+  // runs its job inline on the caller.
   const int bands = band_count();
+  const bool turbo = backend_ == Backend::Turbo;
+  if (turbo) {
+    if (turbo_ == nullptr || !turbo_->live) turbo_promote();
+    turbo_->band.assign(static_cast<std::size_t>(bands),
+                        TurboState::BandCounters{});
+  }
   if (faults_ != nullptr) {
     // (Re)size the per-band fault staging. Merging happens after *each*
     // phase so the global event order is phase-major then row-major —
@@ -651,29 +748,6 @@ void Fabric::step() {
                                FaultStats{});
     faults_->band_events.resize(static_cast<std::size_t>(bands));
   }
-  if (bands <= 1) {
-    route_phase(0, height_, 0);
-    if (faults_ != nullptr) merge_fault_bands(1);
-    // core_phase rebinds tracers to `user_tracer_` so a serial step after
-    // a parallel one (set_threads) never leaves cores pointing at stale
-    // per-band staging buffers.
-    core_phase(0, height_, user_tracer_, 0);
-    if (faults_ != nullptr) merge_fault_bands(1);
-    stats_.link_transfers += link_phase(0, height_, 0);
-    if (faults_ != nullptr) merge_fault_bands(1);
-    if (profiler_ != nullptr) profiler_->add_observed_cycle();
-    ++stats_.cycles;
-    // Sampling happens in this serial tail on both stepping paths: every
-    // band has merged, the fabric is quiescent, so a frame reads the same
-    // state a serial run would see — bit-identical at any thread count.
-    if (sampler_ != nullptr && sampler_->due(stats_.cycles)) {
-      telemetry::TimeSeriesSample s;
-      collect_sample(&s);
-      sampler_->record(s);
-    }
-    return;
-  }
-
   ensure_pool(bands);
   if (user_tracer_ != nullptr) {
     trace_staging_.resize(static_cast<std::size_t>(bands));
@@ -684,10 +758,16 @@ void Fabric::step() {
       }
     }
   }
+  const auto route = turbo ? &Fabric::route_phase<true>
+                           : &Fabric::route_phase<false>;
+  const auto core = turbo ? &Fabric::core_phase<true>
+                          : &Fabric::core_phase<false>;
+  const auto link = turbo ? &Fabric::link_phase<true>
+                          : &Fabric::link_phase<false>;
 
   pool_->run([&](int band) {
     const auto [y0, y1] = band_rows(band, bands);
-    route_phase(y0, y1, band);
+    (this->*route)(y0, y1, band);
   });
   if (faults_ != nullptr) merge_fault_bands(bands);
   pool_->run([&](int band) {
@@ -695,7 +775,7 @@ void Fabric::step() {
     Tracer* staged = user_tracer_ != nullptr
                          ? trace_staging_[static_cast<std::size_t>(band)].get()
                          : nullptr;
-    core_phase(y0, y1, staged, band);
+    (this->*core)(y0, y1, staged, band);
   });
   if (user_tracer_ != nullptr) merge_staged_trace_events();
   if (faults_ != nullptr) merge_fault_bands(bands);
@@ -703,15 +783,26 @@ void Fabric::step() {
   pool_->run([&](int band) {
     const auto [y0, y1] = band_rows(band, bands);
     band_link_transfers_[static_cast<std::size_t>(band)] =
-        link_phase(y0, y1, band);
+        (this->*link)(y0, y1, band);
   });
   for (const std::uint64_t n : band_link_transfers_) {
     stats_.link_transfers += n;
   }
   if (faults_ != nullptr) merge_fault_bands(bands);
+  if (turbo) {
+    // Band-order reduction keeps TurboStats identical at any thread count.
+    TurboState& ts = *turbo_;
+    for (const auto& bc : ts.band) {
+      ts.stats.parked_tile_cycles += bc.parked;
+      ts.stats.contended_tile_cycles += bc.contended;
+    }
+    ++ts.stats.turbo_cycles;
+  }
   if (profiler_ != nullptr) profiler_->add_observed_cycle();
   ++stats_.cycles;
-  // Same serial-tail sampling as the bands<=1 path (see comment there).
+  // Sampling happens in this serial tail: every band has merged, the
+  // fabric is quiescent, so a frame reads the same state a serial run
+  // would see — bit-identical at any thread count.
   if (sampler_ != nullptr && sampler_->due(stats_.cycles)) {
     telemetry::TimeSeriesSample s;
     collect_sample(&s);

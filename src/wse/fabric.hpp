@@ -226,19 +226,11 @@ public:
   /// SimParams::backend the same way). A backend is a host execution
   /// strategy only: switching never changes simulated results — the
   /// conformance suite holds turbo bit-identical to reference for results,
-  /// cycles, heatmaps and counters at any thread count. Composes with
-  /// set_threads: turbo steps through the same row-banded thread pool.
+  /// cycles, heatmaps, counters and every observer's record at any thread
+  /// count. Composes with set_threads: turbo steps through the same
+  /// row-banded thread pool, and observers and fault plans run on it too.
   void set_backend(Backend backend);
   [[nodiscard]] Backend backend() const { return backend_; }
-  /// True when the next step() takes the turbo fast path: turbo is
-  /// selected and no demotion trigger — tracer, profiler, flight recorder,
-  /// sampler, watchdog, fault plan — is currently attached. While a
-  /// trigger is attached the fabric silently steps the reference phases
-  /// (observers see exactly what they would see on reference, because it
-  /// IS reference); it re-promotes on the first step after detachment.
-  [[nodiscard]] bool turbo_active() const {
-    return backend_ == Backend::Turbo && !turbo_demoted();
-  }
   /// Turbo bookkeeping counters (zeros until the first turbo step).
   [[nodiscard]] TurboStats turbo_stats() const {
     return turbo_ != nullptr ? turbo_->stats : TurboStats{};
@@ -288,30 +280,23 @@ private:
     return x >= 0 && x < width_ && y >= 0 && y < height_;
   }
 
-  // Per-phase row-band workers. Each operates on rows [y0, y1) and, for
-  // the link phase, returns the number of link transfers it performed so
-  // the global counter can be reduced deterministically at the barrier.
-  // `band` indexes the per-band fault staging buffers.
+  // Per-phase row-band workers, one instance per backend (fabric.cpp):
+  // kTurbo visits only what the TurboState mirror says can change. Each
+  // operates on rows [y0, y1) and, for the link phase, returns the number
+  // of link transfers it performed so the global counter can be reduced
+  // deterministically at the barrier. `band` indexes the per-band fault
+  // and turbo staging buffers.
+  template <bool kTurbo>
   void route_phase(int y0, int y1, int band);
+  template <bool kTurbo>
   void core_phase(int y0, int y1, Tracer* tracer, int band);
+  template <bool kTurbo>
   [[nodiscard]] std::uint64_t link_phase(int y0, int y1, int band);
 
-  // --- turbo backend (turbo_backend.cpp; docs/BACKENDS.md) ---
+  // --- turbo backend mirror (turbo_backend.cpp; docs/BACKENDS.md) ---
 
-  /// An attached observer or fault plan forces reference stepping.
-  [[nodiscard]] bool turbo_demoted() const {
-    return faults_ != nullptr || user_tracer_ != nullptr ||
-           profiler_ != nullptr || flightrec_ != nullptr ||
-           sampler_ != nullptr || netmon_ != nullptr ||
-           watchdog_cycles_ != 0;
-  }
   /// (Re)build the SoA mirror from fabric state and mark it live.
   void turbo_promote();
-  /// One turbo cycle: same three phases, same banding, over the mirror.
-  void turbo_step();
-  void turbo_route_phase(int y0, int y1, int band);
-  void turbo_core_phase(int y0, int y1, int band);
-  [[nodiscard]] std::uint64_t turbo_link_phase(int y0, int y1, int band);
   [[nodiscard]] bool turbo_quiescent() const;
   [[nodiscard]] bool turbo_all_done() const;
   /// Structural mutation (reset_control, configure_tile, set_backend):

@@ -1,18 +1,7 @@
-// Turbo backend phases (docs/BACKENDS.md; state in turbo_backend.hpp).
-//
-// Every loop here is the corresponding reference loop with provably-empty
-// work skipped: the route phase walks only occupied virtual channels (via
-// RouterState::in_occ, in the same ascending color order the reference
-// scan uses), the core phase steps only unparked cores (a parked core's
-// step is exactly step_parked()), and the link phase arbitrates only
-// occupied output colors (same round-robin order). The active-flit code is
-// copied from fabric.cpp verbatim minus the observer/fault hooks — which
-// is sound only because any attached observer or fault plan demotes the
-// whole fabric to the reference phases (Fabric::turbo_demoted). Bit
-// identity is enforced by tests/wse/backend_conformance_test.cpp.
-
-#include <algorithm>
-#include <bit>
+// Turbo backend mirror upkeep (docs/BACKENDS.md; state in
+// turbo_backend.hpp). The phases themselves live in fabric.cpp, built once
+// per backend; this file builds the SoA mirror and answers the run loop's
+// all-done and quiescence questions from it.
 
 #include "wse/fabric.hpp"
 
@@ -36,234 +25,6 @@ void Fabric::turbo_promote() {
   }
   ts.live = true;
   ++ts.stats.promotions;
-}
-
-void Fabric::turbo_step() {
-  TurboState& ts = *turbo_;
-  const int bands = band_count();
-  ts.band.assign(static_cast<std::size_t>(bands), TurboState::BandCounters{});
-  if (bands <= 1) {
-    turbo_route_phase(0, height_, 0);
-    turbo_core_phase(0, height_, 0);
-    stats_.link_transfers += turbo_link_phase(0, height_, 0);
-  } else {
-    // Same row banding, same pool, same per-phase barriers as the
-    // reference path — the banded determinism contract (docs/SIMULATOR.md)
-    // carries over unchanged, so turbo x threads is still bit-identical.
-    ensure_pool(bands);
-    pool_->run([&](int band) {
-      const auto [y0, y1] = band_rows(band, bands);
-      turbo_route_phase(y0, y1, band);
-    });
-    pool_->run([&](int band) {
-      const auto [y0, y1] = band_rows(band, bands);
-      turbo_core_phase(y0, y1, band);
-    });
-    band_link_transfers_.assign(static_cast<std::size_t>(bands), 0);
-    pool_->run([&](int band) {
-      const auto [y0, y1] = band_rows(band, bands);
-      band_link_transfers_[static_cast<std::size_t>(band)] =
-          turbo_link_phase(y0, y1, band);
-    });
-    for (const std::uint64_t n : band_link_transfers_) {
-      stats_.link_transfers += n;
-    }
-  }
-  for (const auto& bc : ts.band) {
-    ts.stats.parked_tile_cycles += bc.parked;
-    ts.stats.contended_tile_cycles += bc.contended;
-  }
-  ++ts.stats.turbo_cycles;
-  ++stats_.cycles;
-  // No sampler tail: an attached sampler is a demotion trigger, so the
-  // turbo path never has one.
-}
-
-void Fabric::turbo_route_phase(int y0, int y1, int band) {
-  TurboState& ts = *turbo_;
-  auto& bc = ts.band[static_cast<std::size_t>(band)];
-  const std::size_t i0 =
-      static_cast<std::size_t>(y0) * static_cast<std::size_t>(width_);
-  const std::size_t i1 =
-      static_cast<std::size_t>(y1) * static_cast<std::size_t>(width_);
-  for (std::size_t i = i0; i < i1; ++i) {
-    // Unconfigured tiles never forward (reference parity: route_phase
-    // skips them), so a hole tile's pending flag just stays set.
-    if (ts.configured[i] == 0) continue;
-    if (ts.route_pending[i].load(std::memory_order_relaxed) == 0) continue;
-    Tile& t = tiles_[i];
-    bool delivered = false;
-    for (int d = 0; d < 4; ++d) {
-      // Iterating set bits ascending == the reference's c = 0..23 scan.
-      std::uint32_t m = t.router.in_occ[static_cast<std::size_t>(d)];
-      while (m != 0) {
-        const int c = std::countr_zero(m);
-        m &= m - 1;
-        auto& q = t.router.in_queues[static_cast<std::size_t>(d)]
-                                    [static_cast<std::size_t>(c)];
-        while (!q.empty()) {
-          const Flit flit = q.front();
-          const RouteRule& rule = t.router.table.rule(flit.color);
-          bool space = true;
-          for (int od = 0; od < 4 && space; ++od) {
-            if (rule.forwards_to(static_cast<Dir>(od)) &&
-                static_cast<int>(
-                    t.router.out_queues[static_cast<std::size_t>(od)]
-                                       [flit.color]
-                        .size()) >= sim_.router_queue_depth) {
-              space = false;
-            }
-          }
-          for (std::size_t ci = 0; space && ci < rule.deliver_channels.size();
-               ++ci) {
-            if (!t.core->can_deliver(rule.deliver_channels[ci])) {
-              space = false;
-            }
-          }
-          if (!space) {
-            // Backpressure: the flit stays in its virtual channel, exactly
-            // as on reference. Count the slow-path visit and move on.
-            ++bc.contended;
-            break;
-          }
-          if (!rule.deliver_channels.empty()) delivered = true;
-          for (int ch : rule.deliver_channels) {
-            t.core->try_deliver(ch, flit.payload);
-          }
-          for (int od = 0; od < 4; ++od) {
-            if (rule.forwards_to(static_cast<Dir>(od))) {
-              auto& oq = t.router.out_queues[static_cast<std::size_t>(od)]
-                                            [flit.color];
-              oq.push_back(flit);
-              occ_set(t.router.out_occ[static_cast<std::size_t>(od)],
-                      flit.color);
-              ts.link_pending[i] = 1;
-              ++t.router.stats.flits_forwarded;
-              t.router.stats.queue_highwater =
-                  std::max(t.router.stats.queue_highwater,
-                           static_cast<std::uint64_t>(oq.size()));
-            }
-          }
-          q.pop_front();
-        }
-        if (q.empty()) {
-          occ_clear(t.router.in_occ[static_cast<std::size_t>(d)], c);
-        }
-      }
-    }
-    // A delivery fills a ramp queue, so the core is no longer in the
-    // absorbing idle state: it must really step this very cycle (the
-    // reference core would see the delivered word now).
-    if (delivered) ts.parked[i] = 0;
-    ts.route_pending[i].store(t.router.in_any() ? 1 : 0,
-                              std::memory_order_relaxed);
-  }
-}
-
-void Fabric::turbo_core_phase(int y0, int y1, int band) {
-  TurboState& ts = *turbo_;
-  auto& bc = ts.band[static_cast<std::size_t>(band)];
-  const std::size_t i0 =
-      static_cast<std::size_t>(y0) * static_cast<std::size_t>(width_);
-  const std::size_t i1 =
-      static_cast<std::size_t>(y1) * static_cast<std::size_t>(width_);
-  for (std::size_t i = i0; i < i1; ++i) {
-    if (ts.configured[i] == 0) continue;
-    Tile& t = tiles_[i];
-    // The Tile array stride is multiple KB and each core is its own heap
-    // allocation, so a parked ocean pays ~2 cache misses per tile here
-    // (the phase's dominant cost). Overlap them a few tiles ahead.
-    if (i + 4 < i1) __builtin_prefetch(&tiles_[i + 4]);
-    if (i + 1 < i1 && ts.configured[i + 1] != 0) {
-      __builtin_prefetch(tiles_[i + 1].core.get());
-    }
-    if (ts.parked[i] != 0) {
-      // Provably the whole effect of a reference step on this core.
-      t.core->step_parked();
-      ++bc.parked;
-      continue;
-    }
-    const StepOutcome outcome = t.core->step(t.router, stats_.cycles);
-    if (t.router.out_any()) ts.link_pending[i] = 1;
-    ts.done[i] = t.core->done() ? 1 : 0;
-    // Park on the cheap signal (an Idle outcome), confirmed by the full
-    // predicate; once parked the core stays parked until a delivery or a
-    // control reset — deliveries never activate tasks, so it cannot wake
-    // itself.
-    if (outcome == StepOutcome::Idle && t.core->quiescent()) {
-      ts.parked[i] = 1;
-    }
-  }
-}
-
-std::uint64_t Fabric::turbo_link_phase(int y0, int y1, int band) {
-  TurboState& ts = *turbo_;
-  std::uint64_t transfers = 0;
-  (void)band;
-  for (int y = y0; y < y1; ++y) {
-    for (int x = 0; x < width_; ++x) {
-      const std::size_t i = tile_index(x, y);
-      if (ts.link_pending[i] == 0) continue;
-      Tile& t = tiles_[i];
-      for (int d = 0; d < 4; ++d) {
-        if (t.router.out_occ[static_cast<std::size_t>(d)] == 0) continue;
-        const Dir dir = static_cast<Dir>(d);
-        const auto [dx, dy] = wse::step(dir);
-        const int nx = x + dx;
-        const int ny = y + dy;
-        if (!in_bounds(nx, ny)) continue;
-        const std::size_t ni = tile_index(nx, ny);
-        Tile& nb = tiles_[ni];
-        auto& in_queues =
-            nb.router.in_queues[static_cast<std::size_t>(opposite(dir))];
-        int budget = sim_.link_halfwords_per_cycle;
-        auto& queues = t.router.out_queues[static_cast<std::size_t>(d)];
-        int& rr = t.router.rr[static_cast<std::size_t>(d)];
-        bool pushed = false;
-        while (budget > 0) {
-          const std::uint32_t occ =
-              t.router.out_occ[static_cast<std::size_t>(d)];
-          if (occ == 0) break;
-          bool moved = false;
-          for (int k = 0; k < kNumColors; ++k) {
-            const int c = (rr + k) % kNumColors;
-            if ((occ >> static_cast<unsigned>(c) & 1u) == 0) continue;
-            auto& q = queues[static_cast<std::size_t>(c)];
-            const int cost = q.front().wide ? 2 : 1;
-            if (cost > budget) continue;
-            auto& inq = in_queues[static_cast<std::size_t>(c)];
-            if (flit_halfwords(inq) + cost >
-                2 * sim_.link_halfwords_per_cycle) {
-              continue;
-            }
-            const Flit flit = q.front();
-            q.pop_front();
-            if (q.empty()) {
-              occ_clear(t.router.out_occ[static_cast<std::size_t>(d)], c);
-            }
-            budget -= cost;
-            rr = (c + 1) % kNumColors;
-            moved = true;
-            inq.push_back(flit);
-            occ_set(
-                nb.router.in_occ[static_cast<std::size_t>(opposite(dir))], c);
-            pushed = true;
-            ++t.router.stats.link_words[static_cast<std::size_t>(d)];
-            ++transfers;
-            break;
-          }
-          if (!moved) break;
-        }
-        if (pushed) {
-          // Cross-band marking: the destination tile may belong to another
-          // band, hence the relaxed atomic (every writer stores 1).
-          ts.route_pending[ni].store(1, std::memory_order_relaxed);
-        }
-      }
-      if (!t.router.out_any()) ts.link_pending[i] = 0;
-    }
-  }
-  return transfers;
 }
 
 bool Fabric::turbo_quiescent() const {

@@ -22,11 +22,12 @@
 //     core cannot wake itself) are parked: their step is exactly
 //     TileCore::step_parked(), one idle-cycle increment.
 //
-// None of this changes semantics: the active-tile code paths are the
-// reference code paths, turbo only skips work whose effect is provably
-// nothing. Bit-identity against the reference backend — result bits,
-// cycle counts, heatmaps, every counter, at any thread count — is
-// enforced by tests/wse/backend_conformance_test.cpp.
+// None of this changes semantics: both backends run the same phase bodies
+// in fabric.cpp, observer and fault hooks included, and differ only in
+// what they visit. Bit-identity against the reference backend — result
+// bits, cycle counts, heatmaps, every counter and observer record, at any
+// thread count, with or without a fault plan — is enforced by
+// tests/wse/backend_conformance_test.cpp and turbo_fallback_test.cpp.
 
 #include <atomic>
 #include <cstddef>
@@ -40,13 +41,9 @@ namespace wss::wse {
 /// never what it simulated — simulated results are backend-invariant).
 struct TurboStats {
   /// Times the SoA mirror was (re)built from fabric state: the first turbo
-  /// step, and every turbo step after an invalidation (demotion,
-  /// reset_control, configure_tile, set_backend).
+  /// step, and the first turbo step after reset_control, configure_tile or
+  /// set_backend. Attaching an observer or a fault plan rebuilds nothing.
   std::uint64_t promotions = 0;
-  /// Times a live turbo fabric fell back to the reference phases because a
-  /// demotion trigger (tracer, profiler, flight recorder, sampler,
-  /// watchdog, fault plan) was attached.
-  std::uint64_t demotions = 0;
   /// Cycles stepped by the turbo fast path.
   std::uint64_t turbo_cycles = 0;
   /// Core steps satisfied by parking (one per parked tile per turbo cycle).
@@ -71,7 +68,7 @@ struct TurboState {
   }
 
   /// True while the mirror matches fabric state; dropped by any structural
-  /// mutation or demotion, re-established by the next promotion.
+  /// mutation, re-established by the next promotion.
   bool live = false;
   TurboStats stats;
 

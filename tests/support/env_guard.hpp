@@ -5,9 +5,9 @@
 // counts). Constructing a guard unsets the variable; the destructor
 // restores whatever was there. The backend-conformance suite leans on this
 // hard: CI exports WSS_WATCHDOG_CYCLES / WSS_POSTMORTEM_DIR for the main
-// test run, and both auto-attach observers that demote the turbo backend —
-// a conformance test that didn't scrub them would silently compare
-// reference against reference.
+// test run, and both auto-attach observers or write artifacts — a
+// differential must compare exactly the runs it builds, with exactly the
+// observers it attaches, not whatever the ambient environment adds.
 
 #include <cstdlib>
 #include <string>
@@ -42,8 +42,7 @@ private:
 };
 
 /// Scrub every variable that can attach an observer to (or re-route) a
-/// fabric mid-test: with any of these live, the turbo backend demotes and
-/// a backend differential would vacuously pass.
+/// fabric mid-test, so a test's runs are exactly the ones it configures.
 struct CleanSimEnv {
   EnvGuard watchdog{"WSS_WATCHDOG_CYCLES"};
   EnvGuard postmortem{"WSS_POSTMORTEM_DIR"};

@@ -6,7 +6,8 @@
 // suite (reference vs turbo execution backend). "Identical" is strict:
 // fabric stats, per-tile core counters, per-tile router counters, done
 // flags, the telemetry heatmap grids harvested from them, and (for runs)
-// the StopInfo and the fault-injection record.
+// the StopInfo, the fault-injection record and the cycle-attribution
+// profile.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +15,7 @@
 #include <vector>
 
 #include "telemetry/heatmap.hpp"
+#include "telemetry/profiler.hpp"
 #include "wse/fabric.hpp"
 
 namespace wss::testsupport {
@@ -102,6 +104,51 @@ inline void expect_faults_identical(const wse::Fabric& want,
       EXPECT_EQ(want.fault_injections(x, y), got.fault_injections(x, y))
           << label << " tile (" << x << "," << y << ")";
     }
+  }
+}
+
+/// Assert two cycle-attribution profiles match: per-tile bins, compute
+/// intervals, wavelet edges and iteration marks, plus the JSON report and
+/// the derived iteration windows and critical paths.
+inline void expect_profiles_identical(const telemetry::Profiler& want,
+                                      const telemetry::Profiler& got,
+                                      const std::string& label) {
+  ASSERT_EQ(want.width(), got.width()) << label;
+  ASSERT_EQ(want.height(), got.height()) << label;
+  EXPECT_EQ(want.observed_cycles(), got.observed_cycles()) << label;
+  for (int y = 0; y < want.height(); ++y) {
+    for (int x = 0; x < want.width(); ++x) {
+      const telemetry::TileProfile& a = want.tile(x, y);
+      const telemetry::TileProfile& b = got.tile(x, y);
+      const std::string at =
+          label + " tile (" + std::to_string(x) + "," + std::to_string(y) +
+          ")";
+      ASSERT_EQ(a.configured, b.configured) << at;
+      EXPECT_EQ(a.cycles, b.cycles) << at;
+      EXPECT_EQ(a.compute_intervals, b.compute_intervals) << at;
+      ASSERT_EQ(a.recvs.size(), b.recvs.size()) << at;
+      for (std::size_t i = 0; i < a.recvs.size(); ++i) {
+        EXPECT_EQ(a.recvs[i].recv_cycle, b.recvs[i].recv_cycle) << at;
+        EXPECT_EQ(a.recvs[i].send_cycle, b.recvs[i].send_cycle) << at;
+        EXPECT_EQ(a.recvs[i].src_x, b.recvs[i].src_x) << at;
+        EXPECT_EQ(a.recvs[i].src_y, b.recvs[i].src_y) << at;
+      }
+      ASSERT_EQ(a.iter_marks.size(), b.iter_marks.size()) << at;
+      for (std::size_t i = 0; i < a.iter_marks.size(); ++i) {
+        EXPECT_EQ(a.iter_marks[i].iteration, b.iter_marks[i].iteration) << at;
+        EXPECT_EQ(a.iter_marks[i].cycle, b.iter_marks[i].cycle) << at;
+      }
+      EXPECT_EQ(a.recvs_dropped, b.recvs_dropped) << at;
+    }
+  }
+  // Byte-identical reports and identical derived analyses.
+  EXPECT_EQ(want.to_json(), got.to_json()) << label;
+  EXPECT_EQ(want.iteration_windows(), got.iteration_windows()) << label;
+  const auto pa = telemetry::per_iteration_critical_paths(want);
+  const auto pb = telemetry::per_iteration_critical_paths(got);
+  ASSERT_EQ(pa.size(), pb.size()) << label;
+  for (std::size_t i = 0; i < pa.size(); ++i) {
+    EXPECT_EQ(pa[i].pretty(), pb[i].pretty()) << label;
   }
 }
 

@@ -4,11 +4,13 @@
 //  * non-perturbation: attaching a recorder changes no simulated bit
 //    (result payloads, cycle counts, heatmap counters all identical),
 //  * determinism: the recorded rings are bit-identical at any
-//    WSS_SIM_THREADS (1 / 2 / 8), like every other telemetry surface.
+//    WSS_SIM_THREADS (1 / 2 / 8) and on the turbo backend, like every
+//    other telemetry surface.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -226,10 +228,12 @@ SpmvCase make_spmv_case(const Grid3& g, std::uint64_t seed) {
   return c;
 }
 
-wsekernels::SpMV3DSimulation make_sim(const SpmvCase& c, int threads) {
+wsekernels::SpMV3DSimulation make_sim(const SpmvCase& c, int threads,
+                                      Backend backend = Backend::Auto) {
   static const CS1Params arch;
   SimParams sim;
   sim.sim_threads = threads;
+  sim.backend = backend;
   return wsekernels::SpMV3DSimulation(c.a, arch, sim);
 }
 
@@ -244,34 +248,54 @@ TEST(FlightRecorderConformance, RecorderIsNonPerturbingAndThreadIdentical) {
   const Grid3 g(4, 3, 6);
   const SpmvCase c = make_spmv_case(g, 2026);
 
-  // Baseline: serial, no recorder.
-  auto ref = make_sim(c, 1);
+  // Baseline: serial reference, no recorder.
+  auto ref = make_sim(c, 1, Backend::Reference);
   const Field3<fp16_t> u_ref = ref.run(c.v);
   const std::uint64_t cycles_ref = ref.last_run_cycles();
   const auto heat_ref = heatmap_cells(ref.fabric());
 
+  // Serial reference, thread counts on the env-selected backend, then
+  // turbo legs: the recorder's taps ride turbo's fast path every cycle.
+  struct Leg {
+    int threads;
+    Backend backend;
+  };
+  const Leg legs[] = {{1, Backend::Reference},
+                      {2, Backend::Auto},
+                      {8, Backend::Auto},
+                      {1, Backend::Turbo},
+                      {8, Backend::Turbo}};
   std::vector<FlightRecorder> recorders;
-  recorders.reserve(3);
-  for (const int threads : {1, 2, 8}) {
-    auto sim = make_sim(c, threads);
+  recorders.reserve(std::size(legs));
+  for (const Leg leg : legs) {
+    const std::string name =
+        std::string(leg.backend == Backend::Turbo ? "turbo " : "") +
+        "threads=" + std::to_string(leg.threads);
+    auto sim = make_sim(c, leg.threads, leg.backend);
     FlightRecorder& rec =
         recorders.emplace_back(g.nx, g.ny, FlightRecorder::kDefaultDepth);
     sim.fabric().set_flight_recorder(&rec);
     const Field3<fp16_t> u = sim.run(c.v);
+    if (leg.backend == Backend::Turbo) {
+      EXPECT_EQ(sim.fabric().turbo_stats().turbo_cycles,
+                sim.fabric().stats().cycles)
+          << name;
+    }
 
     // Non-perturbation: result bits, cycle count, heatmap counters all
     // identical to the recorder-free serial baseline.
     ASSERT_EQ(u.size(), u_ref.size());
     for (std::size_t i = 0; i < u.size(); ++i) {
-      EXPECT_EQ(u[i].bits(), u_ref[i].bits()) << "threads=" << threads;
+      EXPECT_EQ(u[i].bits(), u_ref[i].bits()) << name;
     }
-    EXPECT_EQ(sim.last_run_cycles(), cycles_ref) << "threads=" << threads;
-    EXPECT_EQ(heatmap_cells(sim.fabric()), heat_ref) << "threads=" << threads;
+    EXPECT_EQ(sim.last_run_cycles(), cycles_ref) << name;
+    EXPECT_EQ(heatmap_cells(sim.fabric()), heat_ref) << name;
     EXPECT_GT(rec.total_events(), 0u);
   }
 
   // Determinism: the rings themselves are bit-identical across thread
-  // counts — every tile, every retained event, every payload field.
+  // counts and backends — every tile, every retained event, every
+  // payload field.
   for (std::size_t r = 1; r < recorders.size(); ++r) {
     for (int y = 0; y < g.ny; ++y) {
       for (int x = 0; x < g.nx; ++x) {

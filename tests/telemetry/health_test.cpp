@@ -736,6 +736,12 @@ std::vector<HealthAlert> scenario_alerts(const proptest::fabricgen::Scenario& sc
   (void)f.run(sc.budget);
   f.sample_now();
   f.set_sampler(nullptr);
+  if (backend == wse::Backend::Turbo) {
+    // The sampler rides the fast path: a turbo leg that stepped reference
+    // phases would compare reference with itself.
+    EXPECT_EQ(f.turbo_stats().turbo_cycles, f.stats().cycles)
+        << "turbo@" << threads;
+  }
   return evaluate_health(snapshot_timeseries(sampler, nullptr), cfg);
 }
 

@@ -3,12 +3,13 @@
 // attaching a NetMonitor perturbs nothing (result bits, cycle counts and
 // every per-tile heatmap are identical with the monitor on or off); the
 // wss.netflows/1 stream is bit-identical on both execution backends at
-// WSS_SIM_THREADS 1/2/8; conservation is exact at every granularity
-// (Σ per-flow words == Σ per-link words == the fabric's link-transfer
-// delta); the exact stencilfe traffic projections equal the measured
-// words; a stalled router raises link_congestion naming the choked
-// upstream link while a clean run stays silent; and the committed golden
-// artifact pins the schema byte-for-byte.
+// WSS_SIM_THREADS 1/2/8, with turbo stepping every monitored cycle;
+// conservation is exact at every granularity (Σ per-flow words == Σ
+// per-link words == the fabric's link-transfer delta); the exact
+// stencilfe traffic projections equal the measured words; a stalled
+// router raises link_congestion naming the choked upstream link while a
+// clean run stays silent; and the committed golden artifact pins the
+// schema byte-for-byte, on both backends.
 
 #include <gtest/gtest.h>
 
@@ -49,6 +50,7 @@ struct StencilRun {
   std::uint64_t cycles = 0;         ///< last generation
   std::uint64_t total_cycles = 0;   ///< whole run
   std::uint64_t link_transfers = 0; ///< whole run
+  std::uint64_t turbo_cycles = 0;   ///< whole run, turbo fast path
   FabricHeatmaps maps;
 };
 
@@ -73,16 +75,22 @@ StencilRun run_heat(stencilfe::BoundaryPolicy boundary, int nx, int ny,
   r.cycles = ex.last_generation_cycles();
   r.total_cycles = ex.fabric().stats().cycles;
   r.link_transfers = ex.fabric().stats().link_transfers;
+  r.turbo_cycles = ex.fabric().turbo_stats().turbo_cycles;
   r.maps = collect_heatmaps(ex.fabric());
   return r;
 }
 
+/// The monitored run's netflows artifact. On turbo, also asserts that the
+/// fast path stepped every cycle with the monitor attached.
 NetFlowsFile heat_netflows(stencilfe::BoundaryPolicy boundary, int nx, int ny,
                            int generations, Backend backend, int threads) {
   const stencilfe::TransitionFn fn = stencilfe::heat_fn(0.125, boundary);
   NetMonitor mon;
   const StencilRun r =
       run_heat(boundary, nx, ny, generations, backend, threads, &mon);
+  if (backend == Backend::Turbo) {
+    EXPECT_EQ(r.turbo_cycles, r.total_cycles) << "turbo@" << threads;
+  }
   return build_netflows(mon, "netmon-test", "", r.total_cycles,
                         r.link_transfers,
                         static_cast<std::uint64_t>(generations),
@@ -271,10 +279,16 @@ TEST(NetMonitor, GoldenArtifactPinsTheSchemaByteForByte) {
   // The golden is the exact stream of this deterministic run: heat
   // diffusion, periodic, 6x5, 2 generations, reference@1. Regenerating
   // it must reproduce the committed bytes — schema drift, counter drift
-  // and expectation drift all fail here.
+  // and expectation drift all fail here — and so must turbo, whose
+  // monitor rides the fast path.
   const NetFlowsFile fresh = heat_netflows(
       stencilfe::BoundaryPolicy::Periodic, 6, 5, 2, Backend::Reference, 1);
   EXPECT_EQ(build_netflows_json(fresh), committed);
+  for (const int threads : {1, 8}) {
+    const NetFlowsFile turbo = heat_netflows(
+        stencilfe::BoundaryPolicy::Periodic, 6, 5, 2, Backend::Turbo, threads);
+    EXPECT_EQ(build_netflows_json(turbo), committed) << "turbo@" << threads;
+  }
 }
 
 TEST(NetMonitor, StalledRouterRaisesLinkCongestionAndCleanRunIsSilent) {

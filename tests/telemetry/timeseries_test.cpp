@@ -92,15 +92,18 @@ System make_system(Grid3 g, std::uint64_t seed) {
 struct RunOutput {
   BicgstabSimResult result;
   std::uint64_t cycles = 0;
+  std::uint64_t turbo_cycles = 0;
   FabricHeatmaps heatmaps;
   std::vector<TimeSeriesFrame> frames;
   PhaseCatMatrix totals{};
 };
 
 RunOutput run_bicgstab(const System& s, int threads, std::uint64_t interval,
-                       bool with_profiler) {
+                       bool with_profiler,
+                       wse::Backend backend = wse::Backend::Auto) {
   CS1Params arch;
   SimParams sim;
+  sim.backend = backend;
   BicgstabSimulation simulation(s.a, 2, arch, sim);
   simulation.fabric().set_threads(threads);
   Profiler prof(s.a.grid.nx, s.a.grid.ny);
@@ -111,6 +114,7 @@ RunOutput run_bicgstab(const System& s, int threads, std::uint64_t interval,
   out.result = simulation.run(s.b);
   simulation.fabric().sample_now();
   out.cycles = simulation.fabric().stats().cycles;
+  out.turbo_cycles = simulation.fabric().turbo_stats().turbo_cycles;
   out.heatmaps = collect_heatmaps(simulation.fabric());
   out.frames.assign(sampler.frames().begin(), sampler.frames().end());
   if (with_profiler) out.totals = prof.totals();
@@ -152,17 +156,32 @@ TEST(TimeSeries, SamplerDoesNotPerturbTheRun) {
 TEST(TimeSeries, FramesBitIdenticalAcrossThreadCounts) {
   CleanEnv env;
   const System s = make_system(Grid3(4, 4, 12), 11);
-  const RunOutput t1 = run_bicgstab(s, 1, 128, /*with_profiler=*/true);
+  const RunOutput t1 = run_bicgstab(s, 1, 128, /*with_profiler=*/true,
+                                    wse::Backend::Reference);
   ASSERT_GT(t1.frames.size(), 1u);
-  for (const int threads : {2, 8}) {
-    const RunOutput tn = run_bicgstab(s, threads, 128, /*with_profiler=*/true);
+  // Thread counts on the env-selected backend, then turbo legs: the
+  // sampler and profiler ride turbo's fast path for every cycle.
+  struct Leg {
+    int threads;
+    wse::Backend backend;
+  };
+  for (const Leg leg : {Leg{2, wse::Backend::Auto}, Leg{8, wse::Backend::Auto},
+                        Leg{1, wse::Backend::Turbo},
+                        Leg{8, wse::Backend::Turbo}}) {
+    const std::string name =
+        std::string(leg.backend == wse::Backend::Turbo ? "turbo@" : "env@") +
+        std::to_string(leg.threads);
+    const RunOutput tn = run_bicgstab(s, leg.threads, 128,
+                                      /*with_profiler=*/true, leg.backend);
+    if (leg.backend == wse::Backend::Turbo) {
+      EXPECT_EQ(tn.turbo_cycles, tn.cycles) << name;
+    }
     expect_bits_identical(t1, tn);
-    ASSERT_EQ(t1.frames.size(), tn.frames.size()) << threads << " threads";
+    ASSERT_EQ(t1.frames.size(), tn.frames.size()) << name;
     for (std::size_t i = 0; i < t1.frames.size(); ++i) {
       TimeSeriesFrame a = t1.frames[i];
       TimeSeriesFrame b = tn.frames[i];
-      EXPECT_EQ(a, b) << "frame " << i << " diverged at " << threads
-                      << " threads";
+      EXPECT_EQ(a, b) << "frame " << i << " diverged at " << name;
     }
   }
 }

@@ -8,9 +8,9 @@
 // and runs the real kernel programs — SpMV, AllReduce, BiCGStab, and a
 // hand-built 9-point stencil halo exchange — on both backends at 1, 2, and
 // 8 threads, with and without fault plans, asserting exact equality. Each
-// differential also asserts the fast path actually engaged (or, with a
-// fault plan attached, that it correctly never did): without that, an
-// accidental demotion would make every comparison vacuously green.
+// differential also asserts the fast path actually stepped every cycle,
+// fault plan or not: without that, a turbo run that quietly stepped the
+// reference phases would make every comparison vacuously green.
 
 #include <gtest/gtest.h>
 
@@ -48,12 +48,10 @@ bool same_bits(float a, float b) {
   return ab == bb;
 }
 
-/// Assert the run really used the turbo fast path for every cycle: no
-/// observer crept in and demoted it.
+/// Assert the run really used the turbo fast path for every cycle.
 void expect_turbo_engaged(const Fabric& f, const std::string& label) {
   EXPECT_EQ(f.turbo_stats().turbo_cycles, f.stats().cycles) << label;
   EXPECT_GE(f.turbo_stats().promotions, 1u) << label;
-  EXPECT_EQ(f.turbo_stats().demotions, 0u) << label;
 }
 
 // --- random generated scenarios -----------------------------------------
@@ -148,11 +146,7 @@ TEST(BackendConformance, RandomFaultPlansBitExact) {
           expect_fabric_state_identical(ref.fabric, tur.fabric, label);
           expect_streams_identical(sc, ref.fabric, tur.fabric, label);
           expect_faults_identical(ref.fabric, tur.fabric, label);
-          // A fault plan is a demotion trigger: the whole run must have
-          // stepped the reference phases (that IS the conformance story
-          // for faulted runs).
-          EXPECT_FALSE(tur.fabric.turbo_active()) << label;
-          EXPECT_EQ(tur.fabric.turbo_stats().turbo_cycles, 0u) << label;
+          expect_turbo_engaged(tur.fabric, label);
         }
       },
       {.cases = 5, .seed = 977});
@@ -273,7 +267,7 @@ TEST(BackendConformance, SpmvWithFaultPlanBitExactAcrossBackends) {
     }
     expect_fabric_state_identical(ref.fabric(), s.fabric(), label);
     expect_faults_identical(ref.fabric(), s.fabric(), label);
-    EXPECT_EQ(s.fabric().turbo_stats().turbo_cycles, 0u) << label;
+    expect_turbo_engaged(s.fabric(), label);
   }
 }
 
@@ -361,6 +355,7 @@ TEST(BackendConformance, AllReduceWithFaultPlanBitExactAcrossBackends) {
     }
     expect_fabric_state_identical(ref.fabric(), s.fabric(), label);
     expect_faults_identical(ref.fabric(), s.fabric(), label);
+    expect_turbo_engaged(s.fabric(), label);
   }
 }
 
@@ -657,6 +652,7 @@ TEST(BackendConformance, Stencil9WithFaultPlanBitExactAcrossBackends) {
     expect_stop_identical(ref_stop, tur_stop, label);
     expect_fabric_state_identical(ref, tur, label);
     expect_faults_identical(ref, tur, label);
+    expect_turbo_engaged(tur, label);
     for (int y = 0; y < h; ++y) {
       for (int x = 0; x < w; ++x) {
         for (int i = 0; i < len; ++i) {

@@ -3,7 +3,8 @@
 // per-tile counters or heatmaps (the turbo SoA mirror is per-fabric, not
 // global), and not in telemetry outputs (ledger entries and time-series
 // artifacts stay distinct via the claim_output_stem pattern even when a
-// turbo run and a reference run finish back to back).
+// turbo run and a reference run finish back to back, with every
+// env-attached observer riding the turbo run).
 
 #include <gtest/gtest.h>
 
@@ -12,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "stencil/generators.hpp"
 #include "support/env_guard.hpp"
 #include "support/fabric_compare.hpp"
 #include "support/proptest.hpp"
@@ -19,7 +21,7 @@
 #include "telemetry/ledger.hpp"
 #include "telemetry/timeseries.hpp"
 #include "wse/fabric.hpp"
-#include "wsekernels/allreduce_program.hpp"
+#include "wsekernels/spmv3d_program.hpp"
 
 namespace wss::wse {
 namespace {
@@ -94,23 +96,37 @@ TEST(BackendIsolation, InterleavedFabricsMatchTheirSoloGoldens) {
 
 TEST(BackendIsolation, LedgerAndTimeseriesStayDistinctAcrossBackends) {
   // Two kernel runs in one process, one per backend, with run forensics
-  // live: two ledger entries, two distinct time-series artifacts, and —
-  // because the backends are conformant — identical cycle counts.
+  // live under CI's observer env (sampler, net monitor, watchdog,
+  // post-mortem dir): two ledger entries, two distinct time-series
+  // artifacts, and — because the backends are conformant and observers
+  // ride turbo's fast path — identical cycle counts and frames.
   testsupport::CleanSimEnv env;
   const std::string dir = temp_dir("ledger");
   env.sample.set("64");
   env.ledger.set(dir.c_str());
+  env.netflows.set("1");
+  env.watchdog.set("200000");
+  env.postmortem.set(dir.c_str());
   telemetry::reset_output_stem_claims();
 
+  // SpMV declares its flows, so WSS_NETFLOWS really attaches a monitor.
   static const CS1Params arch;
-  std::vector<float> contributions(9, 1.0f);
-  wsekernels::AllReduceSimulation turbo_sim(3, 3, arch,
-                                            params_for(Backend::Turbo));
-  const auto turbo_result = turbo_sim.run(contributions);
-  wsekernels::AllReduceSimulation ref_sim(3, 3, arch,
-                                          params_for(Backend::Reference));
-  const auto ref_result = ref_sim.run(contributions);
-  EXPECT_EQ(turbo_result.cycles, ref_result.cycles);
+  const Grid3 g(3, 3, 4);
+  auto ad = make_random_dominant7(g, 0.5, 3);
+  Field3<double> b(g, 1.0);
+  (void)precondition_jacobi(ad, b);
+  const auto a = convert_stencil<fp16_t>(ad);
+  const Field3<fp16_t> v(g, fp16_t(0.5));
+  wsekernels::SpMV3DSimulation turbo_sim(a, arch, params_for(Backend::Turbo));
+  const auto turbo_u = turbo_sim.run(v);
+  EXPECT_EQ(turbo_sim.fabric().turbo_stats().turbo_cycles,
+            turbo_sim.fabric().stats().cycles);
+  wsekernels::SpMV3DSimulation ref_sim(a, arch, params_for(Backend::Reference));
+  const auto ref_u = ref_sim.run(v);
+  EXPECT_EQ(turbo_sim.last_run_cycles(), ref_sim.last_run_cycles());
+  for (std::size_t i = 0; i < ref_u.size(); ++i) {
+    EXPECT_EQ(turbo_u[i].bits(), ref_u[i].bits()) << i;
+  }
 
   telemetry::Ledger ledger;
   std::string error;
@@ -131,12 +147,17 @@ TEST(BackendIsolation, LedgerAndTimeseriesStayDistinctAcrossBackends) {
   }
   ASSERT_EQ(series_paths.size(), 2u);
   EXPECT_NE(series_paths[0], series_paths[1]);
-  for (const std::string& path : series_paths) {
-    telemetry::TimeSeries ts;
-    ASSERT_TRUE(telemetry::load_timeseries(path, &ts, &error)) << error;
-    EXPECT_TRUE(telemetry::self_check_timeseries(ts, &error)) << error;
-    EXPECT_GT(ts.frames.size(), 0u);
+  std::vector<telemetry::TimeSeries> series(2);
+  for (std::size_t i = 0; i < 2; ++i) {
+    ASSERT_TRUE(telemetry::load_timeseries(series_paths[i], &series[i], &error))
+        << error;
+    EXPECT_TRUE(telemetry::self_check_timeseries(series[i], &error)) << error;
+    EXPECT_GT(series[i].frames.size(), 0u);
+    EXPECT_TRUE(series[i].frames.front().has_net) << series_paths[i];
   }
+  const telemetry::FrameDivergence d =
+      telemetry::first_frame_divergence(series[0], series[1]);
+  EXPECT_FALSE(d.found) << telemetry::pretty_frame_divergence(d);
 }
 
 } // namespace

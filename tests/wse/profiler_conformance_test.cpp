@@ -2,10 +2,12 @@
 // (docs/PROFILING.md): a profile recorded while stepping a fabric with ANY
 // host thread count is bit-identical to the serial profile — phase x
 // category matrices, compute intervals, wavelet-edge logs, iteration
-// marks, and the derived critical paths and JSON. Runs the full BiCGStab
-// dataflow on randomized fabric shapes under tests/support/proptest.hpp
-// with 1, 2, and 8 threads. This file is part of test_wse so the TSan CI
-// job races the recording surface as well.
+// marks, and the derived critical paths and JSON — and so is a profile
+// recorded on the turbo backend, whose hooks are the same code. Runs the
+// full BiCGStab dataflow on randomized fabric shapes under
+// tests/support/proptest.hpp with 1, 2, and 8 threads, plus turbo at 1
+// and 8. This file is part of test_wse so the TSan CI job races the
+// recording surface as well.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +16,7 @@
 #include <string>
 
 #include "stencil/generators.hpp"
+#include "support/fabric_compare.hpp"
 #include "support/proptest.hpp"
 #include "telemetry/profiler.hpp"
 #include "wse/fabric.hpp"
@@ -21,6 +24,8 @@
 
 namespace wss::wse {
 namespace {
+
+using testsupport::expect_profiles_identical;
 
 constexpr int kThreadCounts[] = {2, 8};
 
@@ -40,60 +45,24 @@ Problem make_problem(int nx, int ny, int z, std::uint64_t seed,
                  iterations};
 }
 
-/// Run the problem with `threads` host threads and a profiler attached.
-std::unique_ptr<telemetry::Profiler> run_profiled(const Problem& p,
-                                                  int threads) {
+/// Run the problem with `threads` host threads and a profiler attached. A
+/// turbo run must step the fast path for every profiled cycle.
+std::unique_ptr<telemetry::Profiler> run_profiled(
+    const Problem& p, int threads, Backend backend = Backend::Auto) {
   const CS1Params arch;
   SimParams sim;
   sim.sim_threads = threads;
+  sim.backend = backend;
   auto prof = std::make_unique<telemetry::Profiler>(p.a.grid.nx, p.a.grid.ny);
   wsekernels::BicgstabSimulation s(p.a, p.iterations, arch, sim);
   s.fabric().set_profiler(prof.get());
   (void)s.run(p.b);
   s.fabric().set_profiler(nullptr);
+  if (backend == Backend::Turbo) {
+    EXPECT_EQ(s.fabric().turbo_stats().turbo_cycles, s.fabric().stats().cycles)
+        << "turbo@" << threads;
+  }
   return prof;
-}
-
-void expect_profiles_identical(const telemetry::Profiler& want,
-                               const telemetry::Profiler& got,
-                               const std::string& label) {
-  ASSERT_EQ(want.width(), got.width()) << label;
-  ASSERT_EQ(want.height(), got.height()) << label;
-  EXPECT_EQ(want.observed_cycles(), got.observed_cycles()) << label;
-  for (int y = 0; y < want.height(); ++y) {
-    for (int x = 0; x < want.width(); ++x) {
-      const telemetry::TileProfile& a = want.tile(x, y);
-      const telemetry::TileProfile& b = got.tile(x, y);
-      const std::string at =
-          label + " tile (" + std::to_string(x) + "," + std::to_string(y) +
-          ")";
-      ASSERT_EQ(a.configured, b.configured) << at;
-      EXPECT_EQ(a.cycles, b.cycles) << at;
-      EXPECT_EQ(a.compute_intervals, b.compute_intervals) << at;
-      ASSERT_EQ(a.recvs.size(), b.recvs.size()) << at;
-      for (std::size_t i = 0; i < a.recvs.size(); ++i) {
-        EXPECT_EQ(a.recvs[i].recv_cycle, b.recvs[i].recv_cycle) << at;
-        EXPECT_EQ(a.recvs[i].send_cycle, b.recvs[i].send_cycle) << at;
-        EXPECT_EQ(a.recvs[i].src_x, b.recvs[i].src_x) << at;
-        EXPECT_EQ(a.recvs[i].src_y, b.recvs[i].src_y) << at;
-      }
-      ASSERT_EQ(a.iter_marks.size(), b.iter_marks.size()) << at;
-      for (std::size_t i = 0; i < a.iter_marks.size(); ++i) {
-        EXPECT_EQ(a.iter_marks[i].iteration, b.iter_marks[i].iteration) << at;
-        EXPECT_EQ(a.iter_marks[i].cycle, b.iter_marks[i].cycle) << at;
-      }
-      EXPECT_EQ(a.recvs_dropped, b.recvs_dropped) << at;
-    }
-  }
-  // Byte-identical reports and identical derived analyses.
-  EXPECT_EQ(want.to_json(), got.to_json()) << label;
-  EXPECT_EQ(want.iteration_windows(), got.iteration_windows()) << label;
-  const auto pa = telemetry::per_iteration_critical_paths(want);
-  const auto pb = telemetry::per_iteration_critical_paths(got);
-  ASSERT_EQ(pa.size(), pb.size()) << label;
-  for (std::size_t i = 0; i < pa.size(); ++i) {
-    EXPECT_EQ(pa[i].pretty(), pb[i].pretty()) << label;
-  }
 }
 
 TEST(ProfilerConformance, BitIdenticalAcrossThreadCounts) {
@@ -106,14 +75,21 @@ TEST(ProfilerConformance, BitIdenticalAcrossThreadCounts) {
         const int iterations = c.size(1, 3);
         const Problem p =
             make_problem(nx, ny, z, c.rng().next_u64(), iterations);
-        const auto serial = run_profiled(p, 1);
+        const auto serial = run_profiled(p, 1, Backend::Reference);
         ASSERT_GT(serial->observed_cycles(), 0u);
+        const std::string shape = std::to_string(nx) + "x" +
+                                  std::to_string(ny) + "x" +
+                                  std::to_string(z);
         for (const int threads : kThreadCounts) {
           const auto par = run_profiled(p, threads);
           expect_profiles_identical(
-              *serial, *par,
-              std::to_string(threads) + " threads, " + std::to_string(nx) +
-                  "x" + std::to_string(ny) + "x" + std::to_string(z));
+              *serial, *par, std::to_string(threads) + " threads, " + shape);
+        }
+        for (const int threads : {1, 8}) {
+          const auto turbo = run_profiled(p, threads, Backend::Turbo);
+          expect_profiles_identical(
+              *serial, *turbo,
+              "turbo@" + std::to_string(threads) + ", " + shape);
         }
       },
       {.cases = 4, .seed = 2026});
