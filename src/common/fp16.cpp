@@ -1,105 +1,9 @@
 #include "common/fp16.hpp"
 
-#include <bit>
 #include <cmath>
 #include <ostream>
 
 namespace wss {
-namespace detail {
-
-std::uint16_t fp16_bits_from_double(double value) noexcept {
-  const std::uint64_t dbits = std::bit_cast<std::uint64_t>(value);
-  const std::uint16_t sign = static_cast<std::uint16_t>((dbits >> 48) & 0x8000u);
-  const int dexp = static_cast<int>((dbits >> 52) & 0x7FF);
-  const std::uint64_t dmant = dbits & 0x000FFFFFFFFFFFFFull;
-
-  if (dexp == 0x7FF) {
-    if (dmant != 0) {
-      return static_cast<std::uint16_t>(sign | 0x7E00u); // quiet NaN
-    }
-    return static_cast<std::uint16_t>(sign | 0x7C00u); // infinity
-  }
-
-  // Unbiased exponent of the double (treat subnormal doubles as zero for
-  // binary16 purposes: their magnitude is below 2^-1022, far under the
-  // binary16 subnormal floor of 2^-24).
-  if (dexp == 0) {
-    return sign;
-  }
-  const int e = dexp - 1023;
-
-  if (e >= 16) {
-    // Overflows binary16 (max finite 65504 has e == 15). Values in
-    // [65504 + 16, 2^16) also round to infinity; catch them below via the
-    // mantissa path, so only e >= 16 short-circuits here.
-    return static_cast<std::uint16_t>(sign | 0x7C00u);
-  }
-
-  // 53-bit significand of |value|, implicit leading one made explicit.
-  const std::uint64_t sig = (1ull << 52) | dmant;
-
-  if (e >= -14) {
-    // Normal binary16 range (possibly rounding up into infinity).
-    // Keep 11 significand bits; 42 bits fall away.
-    const std::uint64_t keep = sig >> 42;
-    const std::uint64_t rem = sig & ((1ull << 42) - 1);
-    const std::uint64_t halfway = 1ull << 41;
-    std::uint64_t rounded = keep;
-    if (rem > halfway || (rem == halfway && (keep & 1))) {
-      ++rounded;
-    }
-    int he = e;
-    if (rounded == (1ull << 11)) { // carry out of the significand
-      rounded >>= 1;
-      ++he;
-    }
-    if (he >= 16) {
-      return static_cast<std::uint16_t>(sign | 0x7C00u);
-    }
-    const std::uint16_t hexp = static_cast<std::uint16_t>(he + 15);
-    const std::uint16_t hman = static_cast<std::uint16_t>(rounded & 0x3FFu);
-    return static_cast<std::uint16_t>(sign | (hexp << 10) | hman);
-  }
-
-  // Subnormal binary16 (or underflow to zero). The value is
-  // sig * 2^(e-52); binary16 subnormals are k * 2^-24, k in [0, 2^10).
-  // shift = number of significand bits dropped to land on 2^-24 grid.
-  const int shift = 42 + (-14 - e);
-  if (shift >= 64) {
-    return sign; // far below denorm_min/2: rounds to zero
-  }
-  const std::uint64_t keep = sig >> shift;
-  const std::uint64_t rem = sig & ((1ull << shift) - 1);
-  const std::uint64_t halfway = 1ull << (shift - 1);
-  std::uint64_t rounded = keep;
-  if (rem > halfway || (rem == halfway && (keep & 1))) {
-    ++rounded;
-  }
-  if (rounded >= (1ull << 10)) {
-    // Rounded up into the smallest normal.
-    return static_cast<std::uint16_t>(sign | 0x0400u);
-  }
-  return static_cast<std::uint16_t>(sign | static_cast<std::uint16_t>(rounded));
-}
-
-double double_from_fp16_bits(std::uint16_t bits) noexcept {
-  const int sign = (bits & 0x8000u) ? -1 : 1;
-  const int hexp = (bits >> 10) & 0x1F;
-  const int hman = bits & 0x3FF;
-
-  if (hexp == 0x1F) {
-    if (hman != 0) {
-      return std::numeric_limits<double>::quiet_NaN();
-    }
-    return sign * std::numeric_limits<double>::infinity();
-  }
-  if (hexp == 0) {
-    return sign * std::ldexp(static_cast<double>(hman), -24);
-  }
-  return sign * std::ldexp(static_cast<double>(1024 + hman), hexp - 25);
-}
-
-} // namespace detail
 
 fp16_t sqrt(fp16_t x) noexcept { return fp16_t(std::sqrt(x.to_double())); }
 

@@ -14,6 +14,7 @@
 // ulp of a binary16 tie, which never matters at the precision scales this
 // library studies.
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <iosfwd>
@@ -25,11 +26,107 @@ namespace detail {
 
 /// Round an IEEE binary64 value to the nearest binary16 bit pattern
 /// (round-to-nearest, ties-to-even), handling subnormals, overflow to
-/// infinity, and NaN propagation.
-std::uint16_t fp16_bits_from_double(double value) noexcept;
+/// infinity, and NaN propagation. Inline: it runs on every emulated fp16
+/// operation of the simulated datapath.
+inline std::uint16_t fp16_bits_from_double(double value) noexcept {
+  const std::uint64_t dbits = std::bit_cast<std::uint64_t>(value);
+  const std::uint16_t sign = static_cast<std::uint16_t>((dbits >> 48) & 0x8000u);
+  const int dexp = static_cast<int>((dbits >> 52) & 0x7FF);
+  const std::uint64_t dmant = dbits & 0x000FFFFFFFFFFFFFull;
 
-/// Exact widening of a binary16 bit pattern to binary64.
-double double_from_fp16_bits(std::uint16_t bits) noexcept;
+  if (dexp == 0x7FF) {
+    if (dmant != 0) {
+      return static_cast<std::uint16_t>(sign | 0x7E00u); // quiet NaN
+    }
+    return static_cast<std::uint16_t>(sign | 0x7C00u); // infinity
+  }
+
+  // Unbiased exponent of the double (treat subnormal doubles as zero for
+  // binary16 purposes: their magnitude is below 2^-1022, far under the
+  // binary16 subnormal floor of 2^-24).
+  if (dexp == 0) {
+    return sign;
+  }
+  const int e = dexp - 1023;
+
+  if (e >= 16) {
+    // Overflows binary16 (max finite 65504 has e == 15). Values in
+    // [65504 + 16, 2^16) also round to infinity; catch them below via the
+    // mantissa path, so only e >= 16 short-circuits here.
+    return static_cast<std::uint16_t>(sign | 0x7C00u);
+  }
+
+  // 53-bit significand of |value|, implicit leading one made explicit.
+  const std::uint64_t sig = (1ull << 52) | dmant;
+
+  if (e >= -14) {
+    // Normal binary16 range (possibly rounding up into infinity).
+    // Keep 11 significand bits; 42 bits fall away.
+    const std::uint64_t keep = sig >> 42;
+    const std::uint64_t rem = sig & ((1ull << 42) - 1);
+    const std::uint64_t halfway = 1ull << 41;
+    std::uint64_t rounded = keep;
+    if (rem > halfway || (rem == halfway && (keep & 1))) {
+      ++rounded;
+    }
+    int he = e;
+    if (rounded == (1ull << 11)) { // carry out of the significand
+      rounded >>= 1;
+      ++he;
+    }
+    if (he >= 16) {
+      return static_cast<std::uint16_t>(sign | 0x7C00u);
+    }
+    const std::uint16_t hexp = static_cast<std::uint16_t>(he + 15);
+    const std::uint16_t hman = static_cast<std::uint16_t>(rounded & 0x3FFu);
+    return static_cast<std::uint16_t>(sign | (hexp << 10) | hman);
+  }
+
+  // Subnormal binary16 (or underflow to zero). The value is
+  // sig * 2^(e-52); binary16 subnormals are k * 2^-24, k in [0, 2^10).
+  // shift = number of significand bits dropped to land on 2^-24 grid.
+  const int shift = 42 + (-14 - e);
+  if (shift >= 64) {
+    return sign; // far below denorm_min/2: rounds to zero
+  }
+  const std::uint64_t keep = sig >> shift;
+  const std::uint64_t rem = sig & ((1ull << shift) - 1);
+  const std::uint64_t halfway = 1ull << (shift - 1);
+  std::uint64_t rounded = keep;
+  if (rem > halfway || (rem == halfway && (keep & 1))) {
+    ++rounded;
+  }
+  if (rounded >= (1ull << 10)) {
+    // Rounded up into the smallest normal.
+    return static_cast<std::uint16_t>(sign | 0x0400u);
+  }
+  return static_cast<std::uint16_t>(sign | static_cast<std::uint16_t>(rounded));
+}
+
+/// Exact widening of a binary16 bit pattern to binary64, built from the
+/// bits: the sign moves to bit 63, a normal's exponent is rebiased
+/// (15 -> 1023) with its 10-bit fraction left-aligned, and a subnormal
+/// k * 2^-24 is the exactly representable product of k and a power of
+/// two. Infinities keep their sign; every NaN widens to the positive
+/// quiet NaN.
+inline double double_from_fp16_bits(std::uint16_t bits) noexcept {
+  const std::uint64_t sign = static_cast<std::uint64_t>(bits & 0x8000u) << 48;
+  const std::uint64_t hexp = (bits >> 10) & 0x1Fu;
+  const std::uint64_t hman = bits & 0x3FFu;
+
+  if (hexp == 0x1F) {
+    if (hman != 0) {
+      return std::numeric_limits<double>::quiet_NaN();
+    }
+    return std::bit_cast<double>(sign | 0x7FF0000000000000ull);
+  }
+  if (hexp == 0) {
+    const double magnitude = static_cast<double>(hman) * 0x1p-24;
+    return sign != 0 ? -magnitude : magnitude;
+  }
+  return std::bit_cast<double>(sign | ((hexp + (1023 - 15)) << 52) |
+                               (hman << 42));
+}
 
 } // namespace detail
 

@@ -13,9 +13,6 @@ namespace wss::wse {
 
 namespace {
 
-/// Local channel count: the color space plus a few loopback pseudo-channels.
-constexpr int kNumLocalChannels = 32;
-
 /// Elements an instruction may advance per datapath cycle. fp16 elementwise
 /// ops run 4-way SIMD (the paper's AXPY case: 8 halfword reads + 4 writes
 /// per cycle exactly saturates the 16B-read/8B-write memory ports, so the
@@ -57,6 +54,27 @@ int width_of(OpKind op, DType dtype) {
 
 } // namespace
 
+RouterState::RouterState(const SimParams& sim) {
+  const int out_depth = sim.router_queue_depth;
+  const int in_depth = 2 * sim.link_halfwords_per_cycle;
+  queue_slots = std::make_unique<Flit[]>(
+      static_cast<std::size_t>(4 * kNumColors) *
+      static_cast<std::size_t>(out_depth + in_depth));
+  Flit* next = queue_slots.get();
+  for (auto& dir : out_queues) {
+    for (auto& q : dir) {
+      q = FifoRing<Flit>(next, out_depth);
+      next += out_depth;
+    }
+  }
+  for (auto& dir : in_queues) {
+    for (auto& q : dir) {
+      q = FifoRing<Flit>(next, in_depth);
+      next += in_depth;
+    }
+  }
+}
+
 TileCore::TileCore(TileProgram program, const CS1Params& arch,
                    const SimParams& sim)
     : prog_(std::move(program)),
@@ -64,11 +82,24 @@ TileCore::TileCore(TileProgram program, const CS1Params& arch,
       arch_(&arch),
       sim_(sim),
       memory_(static_cast<std::size_t>(arch.tile_memory_bytes / 2), 0),
-      scalars_(static_cast<std::size_t>(prog_.num_scalars > 0 ? prog_.num_scalars : 1), 0.0f),
-      ramp_queues_(kNumLocalChannels),
-      slots_(static_cast<std::size_t>(arch.num_thread_slots) + 1) {
+      scalars_(static_cast<std::size_t>(prog_.num_scalars > 0 ? prog_.num_scalars : 1), 0.0f) {
   if (prog_.memory_halfwords > arch.tile_memory_bytes / 2) {
     throw std::runtime_error("tile program exceeds 48KB SRAM");
+  }
+  // The background slots plus the main/sync slot must fit slot_occ_.
+  if (arch.num_thread_slots < 0 || arch.num_thread_slots > 31) {
+    throw std::invalid_argument(
+        "CS1Params::num_thread_slots must be in [0, 31]");
+  }
+  slots_.resize(static_cast<std::size_t>(arch.num_thread_slots) + 1);
+  const int depth = sim.ramp_queue_depth;
+  ramp_slots_ = std::make_unique<std::uint32_t[]>(
+      static_cast<std::size_t>(kNumLocalChannels) *
+      static_cast<std::size_t>(depth));
+  std::uint32_t* next = ramp_slots_.get();
+  for (auto& q : ramp_queues_) {
+    q = FifoRing<std::uint32_t>(next, depth);
+    next += depth;
   }
   if (prog_.initial_task != kNoTask) {
     prog_.tasks[static_cast<std::size_t>(prog_.initial_task)].activated = true;
@@ -76,13 +107,12 @@ TileCore::TileCore(TileProgram program, const CS1Params& arch,
 }
 
 bool TileCore::can_deliver(int channel) const {
-  return static_cast<int>(ramp_queues_[static_cast<std::size_t>(channel)].size()) <
-         sim_.ramp_queue_depth;
+  return !ramp_queues_[static_cast<std::size_t>(channel)].full();
 }
 
 bool TileCore::try_deliver(int channel, std::uint32_t payload) {
   auto& q = ramp_queues_[static_cast<std::size_t>(channel)];
-  if (static_cast<int>(q.size()) >= sim_.ramp_queue_depth) {
+  if (q.full()) {
     return false;
   }
   q.push_back(payload);
@@ -149,14 +179,12 @@ bool TileCore::inject(RouterState& router, Color color,
   // delivery queue must have space before the word leaves the core.
   for (int d = 0; d < 4; ++d) {
     if (rule.forwards_to(static_cast<Dir>(d)) &&
-        static_cast<int>(router.out_queues[static_cast<std::size_t>(d)][color].size()) >=
-            sim_.router_queue_depth) {
+        router.out_queues[static_cast<std::size_t>(d)][color].full()) {
       return false;
     }
   }
   for (int ch : rule.deliver_channels) {
-    if (static_cast<int>(ramp_queues_[static_cast<std::size_t>(ch)].size()) >=
-        sim_.ramp_queue_depth) {
+    if (ramp_queues_[static_cast<std::size_t>(ch)].full()) {
       return false;
     }
   }
@@ -215,7 +243,7 @@ const char* opcode_name(OpKind op) {
 } // namespace
 
 void TileCore::complete_instr(int slot, RouterState&) {
-  RunningInstr& ri = *slots_[static_cast<std::size_t>(slot)];
+  const RunningInstr& ri = slots_[static_cast<std::size_t>(slot)];
   if (tracer_ != nullptr && tracer_->wants(tile_x_, tile_y_)) {
     tracer_->record(current_cycle_, tile_x_, tile_y_,
                     TraceEventKind::InstrComplete, opcode_name(ri.instr.op));
@@ -229,12 +257,11 @@ void TileCore::complete_instr(int slot, RouterState&) {
     waiting_sync_ = false;
     ++current_step_;
   }
-  slots_[static_cast<std::size_t>(slot)].reset();
+  slot_occ_ &= ~(1u << static_cast<unsigned>(slot));
 }
 
 bool TileCore::advance(int slot, RouterState& router) {
-  RunningInstr& ri = *slots_[static_cast<std::size_t>(slot)];
-  const Instr& in = ri.instr;
+  const Instr& in = slots_[static_cast<std::size_t>(slot)].instr;
   bool progressed = false;
   bool completed = false;
 
@@ -522,6 +549,13 @@ bool TileCore::advance(int slot, RouterState& router) {
   return progressed;
 }
 
+bool TileCore::occupy_slot(int slot, const RunningInstr& ri) {
+  if (slot_busy(slot)) return false;
+  slots_[static_cast<std::size_t>(slot)] = ri;
+  slot_occ_ |= 1u << static_cast<unsigned>(slot);
+  return true;
+}
+
 void TileCore::run_scheduler() {
   // Hardware scheduling is implemented directly ("there is little delay
   // between the completion of a task and the start of a subsequent task"):
@@ -562,16 +596,15 @@ void TileCore::run_scheduler() {
   while (current_step_ < t.steps.size()) {
     TaskStep& step = t.steps[current_step_];
     if (step.kind == TaskStep::Kind::Launch) {
-      auto& slot = slots_[static_cast<std::size_t>(step.thread_slot)];
-      if (slot.has_value()) {
+      if (!occupy_slot(step.thread_slot, RunningInstr{step.instr, false})) {
         return; // thread slot busy: wait (programs shouldn't do this)
       }
-      slot = RunningInstr{step.instr, false};
       ++current_step_;
     } else if (step.kind == TaskStep::Kind::Sync) {
-      auto& slot = slots_[static_cast<std::size_t>(arch_->num_thread_slots)];
-      if (slot.has_value()) return;
-      slot = RunningInstr{step.instr, true};
+      if (!occupy_slot(arch_->num_thread_slots,
+                       RunningInstr{step.instr, true})) {
+        return;
+      }
       waiting_sync_ = true;
       return;
     } else {
@@ -653,14 +686,21 @@ StepOutcome TileCore::step(RouterState& router, std::uint64_t cycle) {
   // the occupied thread slots (background threads + the main sync slot).
   // Zero-work retirements (e.g. a FIFO drain finding its FIFO empty) do
   // not occupy the datapath: the hardware retires them in the scheduler.
+  // The occupancy mask rotated to start at rr_slot_, so its set bits come
+  // out lowest-first in round-robin order. The loop only ever frees the
+  // slot it is visiting, so this snapshot visits exactly the slots a scan
+  // would.
+  const std::uint32_t occ = slot_occ_;
   const int nslots = static_cast<int>(slots_.size());
-  bool any_busy = false;
+  std::uint64_t pending =
+      ((occ | std::uint64_t{occ} << nslots) >> rr_slot_) &
+      ((std::uint64_t{1} << nslots) - 1);
   bool saw_send = false;
   bool saw_recv = false;
-  for (int k = 0; k < nslots; ++k) {
-    const int slot = (rr_slot_ + k) % nslots;
-    if (!slots_[static_cast<std::size_t>(slot)].has_value()) continue;
-    any_busy = true;
+  while (pending != 0) {
+    int slot = rr_slot_ + std::countr_zero(pending);
+    if (slot >= nslots) slot -= nslots;
+    pending &= pending - 1;
     if (advance(slot, router)) {
       rr_slot_ = (slot + 1) % nslots;
       ++stats_.instr_cycles;
@@ -670,9 +710,9 @@ StepOutcome TileCore::step(RouterState& router, std::uint64_t cycle) {
     // next thread) or retired with zero work (slot freed — also try the
     // next thread without charging the datapath). For stalled slots,
     // classify the blocking port for the cycle-attribution profiler.
-    auto& held = slots_[static_cast<std::size_t>(slot)];
-    if (!held.has_value()) continue;
-    switch (held->instr.op) {
+    if (!slot_busy(slot)) continue;
+    const Instr& held = slots_[static_cast<std::size_t>(slot)].instr;
+    switch (held.op) {
       case OpKind::Send:
       case OpKind::SendScalar:
         saw_send = true;
@@ -687,7 +727,7 @@ StepOutcome TileCore::step(RouterState& router, std::uint64_t cycle) {
         // (recv-starved) or the software FIFO behind it is full (output
         // backpressure — the summation task downstream can't keep up).
         const FabricDesc& f =
-            prog_.fabrics[static_cast<std::size_t>(held->instr.fabric)];
+            prog_.fabrics[static_cast<std::size_t>(held.fabric)];
         if (ramp_queues_[static_cast<std::size_t>(f.channel)].empty()) {
           saw_recv = true;
         } else {
@@ -699,7 +739,7 @@ StepOutcome TileCore::step(RouterState& router, std::uint64_t cycle) {
         break; // local ops never stall while occupied
     }
   }
-  if (any_busy) {
+  if (occ != 0) {
     ++stats_.stall_cycles;
     if (tracer_ != nullptr && tracer_->wants(tile_x_, tile_y_)) {
       tracer_->record(current_cycle_, tile_x_, tile_y_,
@@ -725,10 +765,10 @@ std::string TileCore::debug_state() const {
     out += "no-task";
   }
   for (std::size_t i = 0; i < slots_.size(); ++i) {
-    if (slots_[i].has_value()) {
+    if (slot_busy(static_cast<int>(i))) {
+      const Instr& in = slots_[i].instr;
       out += " slot" + std::to_string(i) + "=op" +
-             std::to_string(static_cast<int>(slots_[i]->instr.op));
-      const Instr& in = slots_[i]->instr;
+             std::to_string(static_cast<int>(in.op));
       if (in.fabric >= 0) {
         const FabricDesc& f = prog_.fabrics[static_cast<std::size_t>(in.fabric)];
         out += "(ch" + std::to_string(f.channel) + " " +
@@ -751,9 +791,9 @@ std::vector<CoreWait> TileCore::waits() const {
   // which fabric resource would have to move for each occupied slot to
   // make progress? Mirrors the stall classification in step().
   std::vector<CoreWait> out;
-  for (const auto& slot : slots_) {
-    if (!slot.has_value()) continue;
-    const Instr& in = slot->instr;
+  for (std::size_t i = 0; i < slots_.size(); ++i) {
+    if (!slot_busy(static_cast<int>(i))) continue;
+    const Instr& in = slots_[i].instr;
     switch (in.op) {
       case OpKind::Send:
       case OpKind::SendScalar: {
@@ -794,9 +834,7 @@ std::vector<CoreWait> TileCore::waits() const {
 }
 
 bool TileCore::quiescent() const {
-  for (const auto& s : slots_) {
-    if (s.has_value()) return false;
-  }
+  if (slot_occ_ != 0) return false;
   if (current_task_ != kNoTask) return false;
   for (const auto& t : prog_.tasks) {
     if (t.activated && !t.blocked) return false;
@@ -815,7 +853,7 @@ void TileCore::reset_control() {
     prog_.tasks[i].activated = pristine_.tasks[i].activated;
     prog_.tasks[i].blocked = pristine_.tasks[i].blocked;
   }
-  for (auto& s : slots_) s.reset();
+  slot_occ_ = 0;
   current_task_ = kNoTask;
   current_step_ = 0;
   waiting_sync_ = false;

@@ -8,13 +8,13 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
-#include <optional>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/fp16.hpp"
 #include "wse/arch.hpp"
+#include "wse/fifo_ring.hpp"
 #include "wse/program.hpp"
 #include "wse/routing.hpp"
 #include "wse/trace.hpp"
@@ -40,6 +40,13 @@ struct RouterStats {
 
 /// Router-side state owned by the fabric but fed by the core on injection.
 struct RouterState {
+  /// Bind every queue to its slice of one slot allocation, sized once from
+  /// `sim`: an out-queue holds router_queue_depth flits, an in-queue
+  /// 2 * link_halfwords_per_cycle flits — the link phase never lets an
+  /// in-queue hold more than two link-cycles of halfwords. The Fabric
+  /// constructor validates these depths.
+  explicit RouterState(const SimParams& sim);
+
   /// Queue-occupancy masks, one bit per color per mesh direction: bit c of
   /// in_occ[d] (out_occ[d]) is set iff in_queues[d][c] (out_queues[d][c])
   /// holds at least one flit. Maintained unconditionally by every queue
@@ -54,15 +61,18 @@ struct RouterState {
   RoutingTable table;
   RouterStats stats;
   /// Per outgoing mesh direction, per color: queued flits awaiting the link.
-  std::array<std::array<std::deque<Flit>, kNumColors>, 4> out_queues;
+  std::array<std::array<FifoRing<Flit>, kNumColors>, 4> out_queues;
   /// Per-virtual-channel input queues per incoming mesh direction — the
   /// paper: "The router has hardware queues ... for each of a set of
   /// virtual channels, avoiding deadlock." Without per-color separation a
   /// blocked head flit of one color would head-of-line-block every other
   /// color on the link (which deadlocks two concurrent reduction trees).
-  std::array<std::array<std::deque<Flit>, kNumColors>, 4> in_queues;
+  std::array<std::array<FifoRing<Flit>, kNumColors>, 4> in_queues;
   /// Round-robin pointer per outgoing direction for color arbitration.
   std::array<int, 4> rr = {0, 0, 0, 0};
+  /// Backing slots of every queue above; the heap block stays in place
+  /// when the RouterState moves, so the rings stay bound to it.
+  std::unique_ptr<Flit[]> queue_slots;
 
   [[nodiscard]] bool in_any() const {
     return (in_occ[0] | in_occ[1] | in_occ[2] | in_occ[3]) != 0;
@@ -82,12 +92,9 @@ inline void occ_clear(std::uint32_t& mask, int color) {
   mask &= ~(1u << static_cast<unsigned>(color));
 }
 
-/// Halfword occupancy of a set of flits (wide flits count twice).
-inline int flit_halfwords(const std::deque<Flit>& q) {
-  int total = 0;
-  for (const Flit& f : q) total += f.wide ? 2 : 1;
-  return total;
-}
+/// Local (ramp) channels per core: the color space plus a few loopback
+/// pseudo-channels. RouteRule::deliver_channels must lie in [0, this).
+inline constexpr int kNumLocalChannels = 32;
 
 /// Per-core activity counters for validating the performance model.
 struct CoreStats {
@@ -244,6 +251,11 @@ private:
   [[nodiscard]] double read_elem(const TensorDesc& t, int i) const;
   void write_elem(const TensorDesc& t, int i, double v);
 
+  [[nodiscard]] bool slot_busy(int slot) const {
+    return (slot_occ_ >> static_cast<unsigned>(slot) & 1u) != 0;
+  }
+  /// Install `ri` in thread slot `slot`; false (and no change) if busy.
+  bool occupy_slot(int slot, const RunningInstr& ri);
   void fire(TaskId task, TrigAction act);
   void complete_instr(int slot, RouterState& router);
   /// Advance instruction in `slot` by as many elements as this cycle
@@ -259,10 +271,15 @@ private:
   SimParams sim_;
   std::vector<std::uint16_t> memory_;
   std::vector<float> scalars_;
-  std::vector<std::deque<std::uint32_t>> ramp_queues_;
+  /// One ramp_queue_depth ring per local channel, over ramp_slots_.
+  std::array<FifoRing<std::uint32_t>, kNumLocalChannels> ramp_queues_;
+  std::unique_ptr<std::uint32_t[]> ramp_slots_;
 
-  // thread slots; index arch_->num_thread_slots is the main/sync slot
-  std::vector<std::optional<RunningInstr>> slots_;
+  // thread slots; index arch_->num_thread_slots is the main/sync slot. Bit
+  // i of slot_occ_ is set iff slots_[i] holds an instruction; a clear
+  // bit's entry is stale and never read.
+  std::vector<RunningInstr> slots_;
+  std::uint32_t slot_occ_ = 0;
   int rr_slot_ = 0;
 
   // task execution state

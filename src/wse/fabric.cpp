@@ -61,6 +61,26 @@ Backend resolve_backend(Backend requested) {
       "WSS_SIM_BACKEND must be 'reference' or 'turbo', got '" + v + "'");
 }
 
+/// Queue depths size the rings once, so they must fit them: a depth of 0
+/// would wedge every fabric into a stop that names no cause, and a value
+/// past the ring counters would overflow them.
+void check_queue_geometry(const SimParams& sim) {
+  const auto check = [](int value, int max, const char* field) {
+    if (value < 1 || value > max) {
+      throw std::invalid_argument(std::string("SimParams::") + field +
+                                  " must be in [1, " + std::to_string(max) +
+                                  "], got " + std::to_string(value));
+    }
+  };
+  check(sim.router_queue_depth, FifoRing<Flit>::kMaxCapacity,
+        "router_queue_depth");
+  check(sim.ramp_queue_depth, FifoRing<std::uint32_t>::kMaxCapacity,
+        "ramp_queue_depth");
+  // An in-queue holds two link-cycles of halfwords.
+  check(sim.link_halfwords_per_cycle, FifoRing<Flit>::kMaxCapacity / 2,
+        "link_halfwords_per_cycle");
+}
+
 } // namespace
 
 Fabric::Fabric(int width, int height, const CS1Params& arch,
@@ -69,14 +89,37 @@ Fabric::Fabric(int width, int height, const CS1Params& arch,
       threads_(resolve_sim_threads(sim.sim_threads)),
       watchdog_cycles_(resolve_watchdog_cycles(sim.watchdog_cycles)),
       backend_(resolve_backend(sim.backend)) {
-  tiles_.resize(static_cast<std::size_t>(width) *
-                static_cast<std::size_t>(height));
+  check_queue_geometry(sim_);
+  const std::size_t n =
+      static_cast<std::size_t>(width) * static_cast<std::size_t>(height);
+  tiles_.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    tiles_.push_back(Tile{nullptr, RouterState(sim_)});
+  }
 }
 
 Fabric::~Fabric() = default;
 
 void Fabric::configure_tile(int x, int y, TileProgram program,
                             RoutingTable routes) {
+  // A delivery checks every listed channel for space, then pushes one
+  // word per entry: each channel must exist and appear once per color.
+  for (int c = 0; c < kNumColors; ++c) {
+    std::uint32_t seen = 0;
+    for (const int ch : routes.rule(static_cast<Color>(c)).deliver_channels) {
+      const bool in_range = ch >= 0 && ch < kNumLocalChannels;
+      if (!in_range || (seen >> ch & 1u) != 0) {
+        throw std::invalid_argument(
+            "configure_tile(" + std::to_string(x) + "," + std::to_string(y) +
+            "): color " + std::to_string(c) + " deliver channel " +
+            std::to_string(ch) +
+            (in_range ? " is listed twice"
+                      : " is outside [0, " +
+                            std::to_string(kNumLocalChannels) + ")"));
+      }
+      seen |= 1u << ch;
+    }
+  }
   Tile& t = tiles_[tile_index(x, y)];
   t.core = std::make_unique<TileCore>(std::move(program), *arch_, sim_);
   t.core->set_position(x, y); // flit provenance for the critical path
@@ -412,10 +455,8 @@ void Fabric::route_phase(int y0, int y1, int band) {
             bool space = true;
             for (int od = 0; od < 4 && space; ++od) {
               if (rule.forwards_to(static_cast<Dir>(od)) &&
-                  static_cast<int>(
-                      t.router
-                          .out_queues[static_cast<std::size_t>(od)][flit.color]
-                          .size()) >= sim_.router_queue_depth) {
+                  t.router.out_queues[static_cast<std::size_t>(od)][flit.color]
+                      .full()) {
                 space = false;
               }
             }
@@ -608,7 +649,7 @@ std::uint64_t Fabric::link_phase(int y0, int y1, int band) {
             const int cost = q.front().wide ? 2 : 1;
             if (cost > budget) continue;
             auto& inq = in_queues[static_cast<std::size_t>(c)];
-            if (flit_halfwords(inq) + cost > 2 * sim_.link_halfwords_per_cycle) {
+            if (inq.halfwords() + cost > 2 * sim_.link_halfwords_per_cycle) {
               continue;
             }
             Flit flit = q.front();
@@ -694,11 +735,11 @@ std::uint64_t Fabric::link_phase(int y0, int y1, int band) {
           for (int c = 0; occ != 0 && c < kNumColors; ++c) {
             if ((occ & (1u << static_cast<unsigned>(c))) == 0) continue;
             auto& q = queues[static_cast<std::size_t>(c)];
-            const auto hw = static_cast<std::uint64_t>(flit_halfwords(q));
+            const auto hw = static_cast<std::uint64_t>(q.halfwords());
             backlog += hw;
             mon->record_backlog(i, d, c, hw);
             const int cost = q.front().wide ? 2 : 1;
-            if (flit_halfwords(in_queues[static_cast<std::size_t>(c)]) + cost >
+            if (in_queues[static_cast<std::size_t>(c)].halfwords() + cost >
                 2 * sim_.link_halfwords_per_cycle) {
               mon->record_blocked(i, d, c);
               any_blocked = true;

@@ -4,9 +4,11 @@
 //
 // The reference interpreter walks every tile's full object graph every
 // cycle — 4 directions x 24 colors of (mostly empty) virtual-channel
-// deques per router phase plus a scheduler pass per core — which makes the
+// queues per router phase plus a scheduler pass per core — which makes the
 // simulator memory-bound on queue metadata long before any real work
-// happens. After the route compiler runs the fabric's steady state is
+// happens. The queues are fixed-capacity rings (wse/fifo_ring.hpp) sized
+// once from SimParams, one allocation per router and per core, so no
+// flit push allocates on either backend. After the route compiler runs the fabric's steady state is
 // static: almost every queue is empty and almost every core is either
 // computing or provably idle. The turbo backend exploits exactly that and
 // nothing else:

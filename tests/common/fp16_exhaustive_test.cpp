@@ -5,7 +5,9 @@
 
 #include <bit>
 #include <cmath>
+#include <cstdint>
 #include <gtest/gtest.h>
+#include <limits>
 
 #include "common/fp16.hpp"
 #include "common/rng.hpp"
@@ -38,6 +40,45 @@ TEST(Fp16Exhaustive, ConversionIsMonotoneOnPositives) {
     EXPECT_GT(v, prev) << "bits=" << bits;
     prev = v;
   }
+}
+
+/// Reference widening, written the textbook way: sign * significand *
+/// 2^exponent through std::ldexp, infinities signed, every NaN the
+/// positive quiet NaN.
+double ldexp_widen(std::uint16_t bits) {
+  const double sign = (bits & 0x8000u) != 0 ? -1.0 : 1.0;
+  const int exp = (bits >> 10) & 0x1F;
+  const int man = bits & 0x3FF;
+  if (exp == 0x1F) {
+    return man != 0 ? std::numeric_limits<double>::quiet_NaN()
+                    : sign * std::numeric_limits<double>::infinity();
+  }
+  if (exp == 0) return sign * std::ldexp(static_cast<double>(man), -24);
+  return sign * std::ldexp(static_cast<double>(1024 + man), exp - 25);
+}
+
+TEST(Fp16Exhaustive, WideningMatchesLdexpReferenceBitForBit) {
+  // Bit patterns, not values: -0 must stay -0 and each NaN must widen to
+  // exactly the positive quiet NaN, which == cannot tell apart.
+  const auto pattern = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  constexpr std::uint64_t kPositiveQuietNan = 0x7FF8000000000000ull;
+  int nans = 0;
+  for (std::uint32_t bits = 0; bits <= 0xFFFFu; ++bits) {
+    const auto h = static_cast<std::uint16_t>(bits);
+    const double got = fp16_t::from_bits(h).to_double();
+    ASSERT_EQ(pattern(got), pattern(ldexp_widen(h))) << "bits=" << bits;
+    if (fp16_t::from_bits(h).is_nan()) {
+      ASSERT_EQ(pattern(got), kPositiveQuietNan) << "bits=" << bits;
+      ++nans;
+    }
+  }
+  // Spot-check the classes the sweep must have crossed.
+  EXPECT_EQ(nans, 2 * 1023);
+  EXPECT_EQ(pattern(fp16_t::from_bits(0x8000u).to_double()), pattern(-0.0));
+  EXPECT_EQ(fp16_t::from_bits(0x0001u).to_double(), 0x1p-24);
+  EXPECT_EQ(fp16_t::from_bits(0x83FFu).to_double(), -1023 * 0x1p-24);
+  EXPECT_EQ(fp16_t::from_bits(0xFC00u).to_double(),
+            -std::numeric_limits<double>::infinity());
 }
 
 TEST(Fp16Exhaustive, RoundingIsIdempotent) {

@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -361,50 +362,148 @@ TEST(BackendConformance, AllReduceWithFaultPlanBitExactAcrossBackends) {
 
 // --- kernel programs: BiCGStab ------------------------------------------
 
-TEST(BackendConformance, BicgstabBitExactAcrossBackends) {
-  testsupport::CleanSimEnv env;
-  const CS1Params arch;
+struct BicgstabCase {
+  Stencil7<fp16_t> a;
+  Field3<fp16_t> b;
+};
+
+BicgstabCase make_bicgstab_case() {
   const Grid3 g(4, 3, 8);
   auto ad = make_random_dominant7(g, 0.5, 31);
   Field3<double> bd(g, 1.0);
   (void)precondition_jacobi(ad, bd);
-  const auto a = convert_stencil<fp16_t>(ad);
-  Field3<fp16_t> b(g);
+  BicgstabCase c{convert_stencil<fp16_t>(ad), Field3<fp16_t>(g)};
   Rng rng(32);
-  for (std::size_t i = 0; i < b.size(); ++i) {
-    b[i] = fp16_t(rng.uniform(-1.0, 1.0));
+  for (std::size_t i = 0; i < c.b.size(); ++i) {
+    c.b[i] = fp16_t(rng.uniform(-1.0, 1.0));
   }
+  return c;
+}
+
+void expect_bicgstab_results_identical(
+    const wsekernels::BicgstabSimResult& want,
+    const wsekernels::BicgstabSimResult& got, const std::string& label) {
+  EXPECT_EQ(got.cycles, want.cycles) << label;
+  EXPECT_EQ(got.iterations, want.iterations) << label;
+  ASSERT_EQ(got.x.size(), want.x.size());
+  for (std::size_t i = 0; i < got.x.size(); ++i) {
+    ASSERT_EQ(got.x[i].bits(), want.x[i].bits()) << label << " x " << i;
+    ASSERT_EQ(got.r[i].bits(), want.r[i].bits()) << label << " r " << i;
+  }
+  ASSERT_EQ(got.rho_history.size(), want.rho_history.size());
+  for (std::size_t i = 0; i < got.rho_history.size(); ++i) {
+    ASSERT_TRUE(same_bits(got.rho_history[i], want.rho_history[i]))
+        << label << " rho " << i;
+  }
+}
+
+TEST(BackendConformance, BicgstabBitExactAcrossBackends) {
+  testsupport::CleanSimEnv env;
+  const CS1Params arch;
+  const BicgstabCase c = make_bicgstab_case();
 
   SimParams ref_sim;
   ref_sim.sim_threads = 1;
   ref_sim.backend = Backend::Reference;
-  wsekernels::BicgstabSimulation ref(a, /*iterations=*/2, arch, ref_sim);
+  wsekernels::BicgstabSimulation ref(c.a, /*iterations=*/2, arch, ref_sim);
   ref.fabric().set_watchdog(0);
-  const auto r_ref = ref.run(b);
+  const auto r_ref = ref.run(c.b);
 
   for (const int threads : kThreadCounts) {
     SimParams sim;
     sim.sim_threads = threads;
     sim.backend = Backend::Turbo;
-    wsekernels::BicgstabSimulation s(a, /*iterations=*/2, arch, sim);
+    wsekernels::BicgstabSimulation s(c.a, /*iterations=*/2, arch, sim);
     s.fabric().set_watchdog(0);
-    const auto r = s.run(b);
+    const auto r = s.run(c.b);
     const std::string label =
         "bicgstab turbo threads=" + std::to_string(threads);
-    EXPECT_EQ(r.cycles, r_ref.cycles) << label;
-    EXPECT_EQ(r.iterations, r_ref.iterations) << label;
-    ASSERT_EQ(r.x.size(), r_ref.x.size());
-    for (std::size_t i = 0; i < r.x.size(); ++i) {
-      ASSERT_EQ(r.x[i].bits(), r_ref.x[i].bits()) << label << " x " << i;
-      ASSERT_EQ(r.r[i].bits(), r_ref.r[i].bits()) << label << " r " << i;
-    }
-    ASSERT_EQ(r.rho_history.size(), r_ref.rho_history.size());
-    for (std::size_t i = 0; i < r.rho_history.size(); ++i) {
-      ASSERT_TRUE(same_bits(r.rho_history[i], r_ref.rho_history[i]))
-          << label << " rho " << i;
-    }
+    expect_bicgstab_results_identical(r_ref, r, label);
     expect_fabric_state_identical(ref.fabric(), s.fabric(), label);
     expect_turbo_engaged(s.fabric(), label);
+  }
+}
+
+// --- queues deeper and links wider than the defaults ----------------------
+//
+// Every ring is sized from SimParams, and every other case here runs the
+// default geometry (router queues 4, ramps 8, 2-halfword links). A
+// capacity hard-coded to those defaults would pass them all; this case
+// runs both backends on 16-flit router queues, 32-word ramps and
+// 4-halfword links.
+
+SimParams deep_sim(Backend backend, int threads) {
+  SimParams sim;
+  sim.router_queue_depth = 16;
+  sim.ramp_queue_depth = 32;
+  sim.link_halfwords_per_cycle = 4;
+  sim.sim_threads = threads;
+  sim.backend = backend;
+  return sim;
+}
+
+/// Deepest ramp queue any tile of `f` reached.
+std::uint64_t max_ramp_highwater(const Fabric& f) {
+  std::uint64_t ramp = 0;
+  for (int y = 0; y < f.height(); ++y) {
+    for (int x = 0; x < f.width(); ++x) {
+      ramp = std::max(ramp, f.core(x, y).stats().ramp_highwater);
+    }
+  }
+  return ramp;
+}
+
+TEST(BackendConformance, DeepQueuesAndWideLinksBitExactAcrossBackends) {
+  testsupport::CleanSimEnv env;
+  const CS1Params arch;
+  const SpmvCase sc = make_spmv_case(Grid3(5, 4, 16), 17);
+  const BicgstabCase bc = make_bicgstab_case();
+
+  wsekernels::SpMV3DSimulation spmv_ref(sc.a, arch,
+                                        deep_sim(Backend::Reference, 1));
+  spmv_ref.fabric().set_watchdog(0);
+  const auto u_ref = spmv_ref.run(sc.v);
+  wsekernels::BicgstabSimulation bicg_ref(bc.a, /*iterations=*/2, arch,
+                                          deep_sim(Backend::Reference, 1));
+  bicg_ref.fabric().set_watchdog(0);
+  const auto r_ref = bicg_ref.run(bc.b);
+  // The ramps must really use the extra depth, or the runs only repeat
+  // the default-geometry cases. (These kernels never queue more than a
+  // couple of flits per router queue; Fabric.DeepQueuesFillBehind-
+  // StalledReceiver fills a depth-16 one.)
+  EXPECT_GT(std::max(max_ramp_highwater(spmv_ref.fabric()),
+                     max_ramp_highwater(bicg_ref.fabric())),
+            8u);
+
+  for (const Backend backend : {Backend::Reference, Backend::Turbo}) {
+    for (const int threads : kThreadCounts) {
+      const std::string label =
+          std::string(backend == Backend::Turbo ? "turbo" : "reference") +
+          " deep threads=" + std::to_string(threads);
+
+      wsekernels::SpMV3DSimulation spmv(sc.a, arch, deep_sim(backend, threads));
+      spmv.fabric().set_watchdog(0);
+      const auto u = spmv.run(sc.v);
+      ASSERT_EQ(u.size(), u_ref.size());
+      for (std::size_t i = 0; i < u.size(); ++i) {
+        ASSERT_EQ(u[i].bits(), u_ref[i].bits()) << label << " spmv " << i;
+      }
+      EXPECT_EQ(spmv.last_run_cycles(), spmv_ref.last_run_cycles()) << label;
+      expect_fabric_state_identical(spmv_ref.fabric(), spmv.fabric(),
+                                    label + " spmv");
+
+      wsekernels::BicgstabSimulation bicg(bc.a, /*iterations=*/2, arch,
+                                          deep_sim(backend, threads));
+      bicg.fabric().set_watchdog(0);
+      const auto r = bicg.run(bc.b);
+      expect_bicgstab_results_identical(r_ref, r, label + " bicgstab");
+      expect_fabric_state_identical(bicg_ref.fabric(), bicg.fabric(),
+                                    label + " bicgstab");
+      if (backend == Backend::Turbo) {
+        expect_turbo_engaged(spmv.fabric(), label + " spmv");
+        expect_turbo_engaged(bicg.fabric(), label + " bicgstab");
+      }
+    }
   }
 }
 
